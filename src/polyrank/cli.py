@@ -121,7 +121,7 @@ def cmd_subnorm(args) -> int:
             raise CliError(str(exc)) from exc
         payload = serialize.frame_max_to_dict(fm)
         payload["k"] = args.k
-        payload["method"] = "frame-ascent"
+        payload["method"] = "hooi"
         lines = [f"subnorm {_sig12(fm.value)}",
                  f"converged {str(fm.converged).lower()}"]
     _emit(args, payload, lines)
@@ -183,7 +183,7 @@ def cmd_chain_check(args) -> int:
         raise CliError(f"report file not found: {args.report}")
     try:
         report = serialize.report_from_dict(json.loads(path.read_text()))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, ValueError, TypeError, AttributeError) as exc:
         raise CliError(f"bad report: {exc}") from exc
     try:
         check = concentration.verify_chain(p, report, _config(args))

@@ -100,9 +100,15 @@ def poly_from_dict(obj) -> HomPoly:
         if key in terms:
             raise ValueError(f"term {i}: duplicate exponent {key}")
         c = t["c"]
-        if not isinstance(c, (int, float)) or isinstance(c, bool) or float(c) == 0.0:
-            raise ValueError(f"term {i}: coefficient must be a nonzero number")
-        terms[key] = float(c)
+        if not isinstance(c, (int, float)) or isinstance(c, bool):
+            raise ValueError(f"term {i}: coefficient must be a finite nonzero number")
+        try:
+            c = float(c)
+        except OverflowError:
+            c = math.inf
+        if not math.isfinite(c) or c == 0.0:
+            raise ValueError(f"term {i}: coefficient must be a finite nonzero number")
+        terms[key] = c
     return HomPoly(n, d, terms)
 
 

@@ -6,20 +6,21 @@ local Newton polish of the winning point.  Every reported value is the form
 evaluated at an explicit unit vector, hence a certified lower bound on the
 true maximum of |p|; nothing here certifies upper bounds.
 
-The frame maximizer ascends ||p': restriction of p to a k-dim subspace||^2
-over orthonormal n x k frames with a QR retraction and backtracking line
-search, started from the top singular frame of the tensor unfolding, a
-nested start built on the sphere argmax, and seeded random frames.
+The frame maximizer raises ||restriction of p to a k-dim subspace||^2 over
+orthonormal n x k frames by shifted symmetric higher-order orthogonal
+iteration (HOOI), run from the top singular frame of the tensor unfolding,
+from any caller-supplied frames, and from seeded random frames.  For k = 1
+that norm is |p(u)|, so the sphere maximizer answers it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, gram_schmidt, coordinate_frame
+from .frames import Frame, complete_orthogonal, coordinate_frame, random_frame
 from .generators import bombieri_gaussian
 from .poly import (
     HomPoly,
@@ -38,8 +39,12 @@ _TIE_TOL = 1e-12
 class OptimizerConfig:
     """Knobs for the multistart sphere and frame maximizers.
 
-    shift=None means 1 + bombieri_norm(p), which keeps the shifted power
-    iteration monotone at the cost of slower contraction.
+    restarts is the number of seeded random starts each maximizer adds to its
+    fixed ones; max_iters caps the iterations, and a start counts as
+    converged once a step moves its point (or frame span) by less than tol.
+    shift applies to the sphere maximizer only: None means
+    1 + bombieri_norm(p), which keeps the shifted power iteration monotone at
+    the cost of slower contraction.
     """
 
     restarts: int = 32
@@ -328,71 +333,44 @@ def _grid_oracle(p: HomPoly, step: float = 0.002) -> float:
 
 
 def _fix_column_signs(B: np.ndarray) -> np.ndarray:
-    B = B.copy()
-    for j in range(B.shape[1]):
-        i = int(np.argmax(np.abs(B[:, j])))
-        if B[i, j] < 0:
-            B[:, j] = -B[:, j]
-    return B
-
-
-def _retract(M: np.ndarray) -> np.ndarray:
-    Q, R = np.linalg.qr(M)
-    signs = np.sign(np.diag(R))
+    """Flip each column so its largest entry is positive."""
+    i = np.argmax(np.abs(B), axis=0)[None, :]
+    signs = np.sign(np.take_along_axis(B, i, axis=0))
     signs[signs == 0] = 1.0
-    return Q * signs
+    return B * signs
 
 
-def _contract_all(T: np.ndarray, B: np.ndarray) -> np.ndarray:
-    S = T
-    for _ in range(T.ndim):
-        S = np.tensordot(S, B, axes=([0], [0]))
-    return S
+def _hooi(T: np.ndarray, B: np.ndarray, max_iters: int, tol: float):
+    """Shifted symmetric higher-order orthogonal iteration from the start
+    frame B (n x k), for max ||T x_1 B ... x_d B||_F^2.
 
-
-def _frame_value_sq(T: np.ndarray, B: np.ndarray) -> float:
-    S = _contract_all(T, B)
-    return float(np.sum(S * S))
-
-
-def _frame_grad(T: np.ndarray, B: np.ndarray) -> np.ndarray:
-    d = T.ndim
-    W = T
-    for _ in range(d - 1):
-        W = np.tensordot(W, B, axes=([1], [0]))
-    S = np.tensordot(W, B, axes=([0], [0]))
-    S = np.moveaxis(S, -1, 0)
-    k = B.shape[1]
-    return 2.0 * d * (W.reshape(T.shape[0], -1) @ S.reshape(k, -1).T)
-
-
-def _frame_ascent(T: np.ndarray, B0: np.ndarray, max_iters: int, tol: float):
-    B = B0
-    g = _frame_value_sq(T, B)
-    converged = False
+    W is T contracted with B in modes 2..d, an n x k^(d-1) matrix.  HOOI (De
+    Lathauwer, De Moor & Vandewalle, SIAM J. Matrix Anal. Appl. 21(4), 2000)
+    moves B to the top-k left singular vectors of W, the top-k eigenvectors
+    of W W^T.  The symmetric iteration is not monotone and can cycle, so, as
+    the shift of SS-HOPM does for k = 1, the step adds sigma^2 B B^T to W W^T
+    with sigma^2 = ||B^T W||_F^2 / (2k), half the mean eigenvalue of
+    B^T W W^T B.  The iteration stops once the new frame lies within tol of
+    the old span.  Returns the best value and frame evaluated, the start
+    included, and whether it stopped that way.
+    """
+    n, k = B.shape
+    flat = T.reshape(-1, n)
+    best_g, best_B = -math.inf, B
     for _ in range(max_iters):
-        G = _frame_grad(T, B)
-        gn = np.linalg.norm(G)
-        if gn < 1e-300:
-            converged = True
-            break
-        D = G / gn
-        step = 1.0
-        movement = 0.0
-        accepted = False
-        while step >= 1e-13:
-            Bn = _retract(B + step * D)
-            gnew = _frame_value_sq(T, Bn)
-            if gnew > g:
-                movement = float(np.max(np.abs(Bn - B)))
-                B, g = Bn, gnew
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted or movement < tol:
-            converged = True
-            break
-    return g, B, converged
+        # contract modes d, d-1, ..., 2 in turn: W ends n x k^(d-1)
+        W = flat @ B
+        for _ in range(T.ndim - 2):
+            W = (B.T @ W.reshape(-1, n, W.shape[-1])).reshape(-1, k * W.shape[-1])
+        g = float(np.sum((B.T @ W) ** 2))
+        if g > best_g:
+            best_g, best_B = g, B
+        M = W @ W.T + g / (2 * k) * (B @ B.T)
+        U = _fix_column_signs(np.linalg.eigh(M)[1][:, :-k - 1:-1])
+        if np.linalg.norm(U - B @ (B.T @ U)) < tol:
+            return best_g, best_B, True
+        B = U
+    return best_g, best_B, False
 
 
 def subspace_norm(p: HomPoly, k: int, cfg: OptimizerConfig | None = None,
@@ -400,52 +378,51 @@ def subspace_norm(p: HomPoly, k: int, cfg: OptimizerConfig | None = None,
     """Best lower bound on the largest Bombieri norm of p projected to a
     k-dimensional subspace.
 
-    Exact for k = n.  Deterministic for a fixed seed; extra_starts frames are
-    ascended too, so the result is always at least as good as any of them.
+    Exact for k = n and for linear forms.  Deterministic for a fixed seed;
+    the result is always at least as good as each of the extra_starts frames.
+    For k = 1 the projected norm at a unit u is |p(u)|, so the sphere
+    maximizer answers it.
     """
     cfg = cfg or OptimizerConfig()
     if not 1 <= k <= p.n:
         raise ValueError(f"k must be in 1..{p.n}, got {k}")
+    for f in extra_starts:
+        if f.n != p.n or f.k != k:
+            raise ValueError("extra start frame has wrong dimensions")
     if p.is_zero:
         return FrameMax(0.0, coordinate_frame(p.n, range(k)), True, ())
     if k == p.n:
         return FrameMax(bombieri_norm(p), Frame(p.n, p.n, np.eye(p.n)), True, ())
-    T = dense_tensor(p)
-    starts: list[np.ndarray] = []
-    U = np.linalg.svd(T.reshape(p.n, -1), full_matrices=False)[0]
-    starts.append(_fix_column_signs(U[:, :k]))
-    light = replace(cfg, restarts=min(cfg.restarts, 8))
-    ustar = operator_norm(p, light).argmax
-    starts.append(gram_schmidt([ustar] + [U[:, j] for j in range(U.shape[1])])[:, :k])
-    for f in extra_starts:
-        if f.n != p.n or f.k != k:
-            raise ValueError("extra start frame has wrong dimensions")
-        starts.append(np.asarray(f.basis, dtype=float))
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.restarts):
-        starts.append(_retract(rng.standard_normal((p.n, k))))
-    best_g = -math.inf
-    best_B = starts[0]
-    best_conv = False
-    per_start = []
-    for B0 in starts:
-        g, B, conv = _frame_ascent(T, B0, cfg.max_iters, cfg.tol)
-        per_start.append(math.sqrt(max(g, 0.0)))
-        if g > best_g + _TIE_TOL:
-            best_g, best_B, best_conv = g, B, conv
+    if p.d == 1:
+        # c.x projected to span(B) has norm ||B^T c||: any frame holding c/||c||
+        c = dense_tensor(p)
+        basis = complete_orthogonal((c / np.linalg.norm(c)).reshape(-1, 1))[:, :k]
+        return FrameMax(bombieri_norm(p), Frame(p.n, k, basis), True, ())
     if k == 1:
-        # the k = 1 objective is |p(u)|, so the sphere polish applies
-        u = _polish(p, best_B[:, 0])
-        val = evaluate(p, u) ** 2
-        if val > best_g:
-            best_g = val
-            best_B = (u / np.linalg.norm(u)).reshape(-1, 1)
-    value = math.sqrt(max(best_g, 0.0))
+        sm = operator_norm(p, cfg)
+        value, u = sm.value, sm.argmax
+        extra = [abs(evaluate(p, f.basis[:, 0])) for f in extra_starts]
+        for f, v in zip(extra_starts, extra):
+            if v > value:
+                value, u = v, f.basis[:, 0]
+        return FrameMax(value, Frame(p.n, 1, u.reshape(-1, 1)), sm.converged,
+                        sm.start_values + tuple(extra))
+    T = dense_tensor(p)
+    U = np.linalg.svd(T.reshape(p.n, -1), full_matrices=False)[0]
+    starts = [_fix_column_signs(U[:, :k])]
+    starts += [f.basis for f in extra_starts]
+    rng = np.random.default_rng(cfg.seed)
+    starts += [random_frame(p.n, k, rng).basis for _ in range(cfg.restarts)]
+    g, B, conv = zip(*(_hooi(T, b, cfg.max_iters, cfg.tol) for b in starts))
+    best = 0
+    for i in range(1, len(g)):
+        if g[i] > g[best] + _TIE_TOL:
+            best = i
     return FrameMax(
-        value=value,
-        frame=Frame(p.n, k, best_B),
-        converged=bool(best_conv),
-        start_values=tuple(per_start),
+        value=math.sqrt(max(g[best], 0.0)),
+        frame=Frame(p.n, k, B[best]),
+        converged=bool(conv[best]),
+        start_values=tuple(math.sqrt(max(v, 0.0)) for v in g),
     )
 
 

@@ -228,6 +228,16 @@ def test_chain_random_quadratics(rng):
         assert all(chk.checks.values())
 
 
+def test_chain_linear_forms(rng):
+    # d = 1: the error-subspace frame has k = frame_budget(1, 1) = 2 columns
+    for n in (3, 5):
+        p = bombieri_gaussian(n, 1, rng)
+        rep = concentrate(p, 0.8, CFG)
+        chk = verify_chain(p, rep, CFG)
+        assert chk.passed, [(l.name, l.margin) for l in chk.links if not l.passed]
+        assert all(chk.checks.values())
+
+
 def test_chain_values_recomputed_close_to_pipeline(rng):
     p = bombieri_gaussian(5, 3, rng)
     rep = concentrate(p, 0.9, CFG, eps_inner=0.4)

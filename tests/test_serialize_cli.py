@@ -145,6 +145,13 @@ def test_cli_subnorm_full_matches_norm(capsys):
     assert json.loads(out)["value"] == pytest.approx(2.0, rel=1e-12)
 
 
+def test_cli_subnorm_linear_form(capsys):
+    poly = '{"n":3,"d":1,"terms":[{"alpha":[1,0,0],"c":3.0},{"alpha":[0,0,1],"c":-4.0}]}'
+    code, out, _ = run_cli(["subnorm", poly, "--k", "2", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(5.0, rel=1e-12)
+
+
 def test_cli_approx_rank1(capsys):
     poly = '{"n":3,"d":2,"terms":[{"alpha":[2,0,0],"c":5.0}]}'
     code, out, _ = run_cli(["approx", poly, "--eps", "0.5", "--format", "json",
@@ -223,6 +230,32 @@ def test_cli_concentrate_and_chain_check(tmp_path, capsys, rng):
                            capsys)
     assert code == 2
     assert "FAIL" in out
+
+
+def test_cli_chain_check_rejects_mistyped_report(tmp_path, capsys, rng):
+    p = bombieri_gaussian(4, 2, rng)
+    poly_path = tmp_path / "p.json"
+    poly_path.write_text(poly_dumps(p))
+    rep = report_to_dict(concentrate(p, 0.8, OptimizerConfig(restarts=4, seed=1),
+                                     eps_inner=0.45))
+    report_path = tmp_path / "rep.json"
+    for key, value in (("k", None), ("ratios", [])):
+        report_path.write_text(json.dumps({**rep, key: value}))
+        code, out, err = run_cli(["chain-check", str(poly_path), "--report",
+                                  str(report_path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bad report:")
+
+
+@pytest.mark.parametrize("c", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "float-overflow", "int-overflow"])
+def test_cli_rejects_non_finite_coefficient(capsys, c):
+    code, out, err = run_cli(["norm", '{"n":1,"d":1,"terms":[{"alpha":[1],"c":%s}]}' % c],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert "term 0: coefficient must be a finite nonzero number" in err
 
 
 def test_cli_parse_error_exit_code(capsys):

@@ -200,9 +200,43 @@ def test_subnorm_eigen_oracle_validated_by_bruteforce(rng):
 
 
 def test_subnorm_matches_projection_norm(rng):
-    p = bombieri_gaussian(4, 3, rng)
-    fm = subspace_norm(p, 2, CFG)
-    assert bombieri_norm(project_subspace(p, fm.frame)) == pytest.approx(fm.value, rel=1e-8)
+    p = bombieri_gaussian(6, 3, rng)
+    for k in range(1, 6):
+        fm = subspace_norm(p, k, CFG)
+        assert bombieri_norm(project_subspace(p, fm.frame)) == pytest.approx(fm.value, rel=1e-8)
+
+
+def test_subnorm_never_below_extra_starts(rng):
+    # one iteration per start: the start frames' own values must be on record
+    weak = OptimizerConfig(restarts=1, max_iters=1, seed=3)
+    p = bombieri_gaussian(5, 3, rng)
+    for k in (1, 2, 3):
+        starts = [random_frame(5, k, rng) for _ in range(3)]
+        starts.append(subspace_norm(p, k, CFG).frame)
+        for f in starts:
+            fm = subspace_norm(p, k, weak, extra_starts=(f,))
+            floor = bombieri_norm(project_subspace(p, f))
+            assert fm.value >= floor - 1e-12 * bombieri_norm(p)
+
+
+def test_subnorm_k1_frame_is_unit_argmax(rng):
+    p = bombieri_gaussian(5, 3, rng)
+    for extra in ((), (random_frame(5, 1, rng),)):
+        fm = subspace_norm(p, 1, CFG, extra_starts=extra)
+        u = fm.frame.basis[:, 0]
+        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+        assert abs(evaluate(p, u)) == fm.value
+
+
+def test_subnorm_linear_form(rng):
+    # d = 1: c.x projected to a k-frame has norm ||B^T c||, largest at ||c||
+    for n, ks in ((3, (1, 2)), (5, (2, 3, 4))):
+        p = bombieri_gaussian(n, 1, rng)
+        for k in ks:
+            fm = subspace_norm(p, k, CFG, extra_starts=(random_frame(n, k, rng),))
+            assert fm.value == pytest.approx(bombieri_norm(p), rel=1e-12)
+            assert bombieri_norm(project_subspace(p, fm.frame)) == pytest.approx(fm.value,
+                                                                               rel=1e-12)
 
 
 def test_subnorm_k1_equals_opnorm(rng):
@@ -242,6 +276,10 @@ def test_ratio_probe_d2_bounded_by_sqrt_k():
     p = sum_squares(2)
     op = operator_norm_oracle(p)
     assert bombieri_norm(p) / op == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+def test_ratio_probe_linear_is_one():
+    assert norm_ratio_probe(1, 2, 3, samples=5, seed=2) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_ratio_probe_out_of_range():
