@@ -226,6 +226,11 @@ def _parse_model(args):
 
 def cmd_gen(args) -> int:
     model, rank = _parse_model(args)
+    if model in ("bombieri-gaussian", "planted-lowrank"):
+        size = num_exponents(args.n, args.d)
+        if size > _BENCH_TERM_LIMIT:
+            raise CliError(f"model {model} at n={args.n}, d={args.d} would need {size} "
+                           f"dense terms; refusing above {_BENCH_TERM_LIMIT}")
     rng = np.random.default_rng(args.seed)
     if model == "hard-family":
         p = lowrank.hard_family(args.n)

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from .poly import HomPoly, iter_exponents, multinomial, pow_linear, bombieri_norm, zero_poly
+from .poly import (HomPoly, bombieri_norm, iter_exponents, multinomial, num_exponents,
+                   pow_linear, zero_poly)
 
 _SPARSE_POOL_LIMIT = 500_000
 
@@ -38,9 +39,10 @@ def sparse_gaussian(n: int, d: int, nterms: int, rng: np.random.Generator) -> Ho
     """Form supported on nterms distinct random monomials with N(0,1) coefficients."""
     if nterms < 1:
         raise ValueError("need at least one term")
+    size = num_exponents(n, d)
+    if size > _SPARSE_POOL_LIMIT:
+        raise ValueError(f"monomial pool of size {size} is too large to sample")
     pool = list(iter_exponents(n, d))
-    if len(pool) > _SPARSE_POOL_LIMIT:
-        raise ValueError(f"monomial pool of size {len(pool)} is too large to sample")
     take = min(nterms, len(pool))
     picks = rng.choice(len(pool), size=take, replace=False)
     terms = {}

@@ -75,6 +75,11 @@ def poly_to_dict(p: HomPoly) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; bool is an int subclass, so true/false are refused."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def poly_from_dict(obj) -> HomPoly:
     if not isinstance(obj, dict):
         raise ValueError("polynomial JSON must be an object")
@@ -82,7 +87,7 @@ def poly_from_dict(obj) -> HomPoly:
         if key not in obj:
             raise ValueError(f"polynomial JSON is missing '{key}'")
     n, d = obj["n"], obj["d"]
-    if not isinstance(n, int) or not isinstance(d, int):
+    if not _is_int(n) or not _is_int(d):
         raise ValueError("'n' and 'd' must be integers")
     if not isinstance(obj["terms"], list):
         raise ValueError("'terms' must be a list")
@@ -92,7 +97,7 @@ def poly_from_dict(obj) -> HomPoly:
             raise ValueError(f"term {i}: expected an object with 'alpha' and 'c'")
         alpha = t["alpha"]
         if (not isinstance(alpha, list) or len(alpha) != n
-                or not all(isinstance(a, int) and a >= 0 for a in alpha)):
+                or not all(_is_int(a) and a >= 0 for a in alpha)):
             raise ValueError(f"term {i}: 'alpha' must be {n} non-negative integers")
         if sum(alpha) != d:
             raise ValueError(f"term {i}: exponent weight {sum(alpha)} != degree {d}")

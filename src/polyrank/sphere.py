@@ -1,8 +1,14 @@
 """Maximization of homogeneous forms over the unit sphere and over frames.
 
-The sphere maximizer is a shifted symmetric power iteration run in batch from
-seeded random starts plus all signed coordinate directions, followed by a
-local Newton polish of the winning point.  Every reported value is the form
+The sphere maximizer is a shifted symmetric power iteration (SS-HOPM; Kolda
+& Mayo, SIAM J. Matrix Anal. Appl. 32(4), 2011) on p and on -p from seeded
+random starts plus all signed coordinate directions, all in one numpy batch
+from which each start leaves once its step falls below tol, followed by a
+local Newton polish of the winning point.  The form is compiled once per
+call: a small one is contracted against its dense symmetric tensor (one GEMM
+per iteration), a large sparse one through a gather over its monomials,
+chosen by comparing n**d with the gather size.  Linear forms c.x are
+answered in closed form at c/||c||.  Every reported value is the form
 evaluated at an explicit unit vector, hence a certified lower bound on the
 true maximum of |p|; nothing here certifies upper bounds.
 
@@ -15,6 +21,7 @@ that norm is |p(u)|, so the sphere maximizer answers it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,12 +30,11 @@ import numpy as np
 from .frames import Frame, complete_orthogonal, coordinate_frame, random_frame
 from .generators import bombieri_gaussian
 from .poly import (
+    _DENSE_LIMIT,
     HomPoly,
     bombieri_norm,
     dense_tensor,
     evaluate,
-    gradient,
-    hessian,
     quadratic_matrix,
 )
 
@@ -66,13 +72,21 @@ class OptimizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class SphereMax:
-    """Best point found for max |p| on the unit sphere (a lower bound witness)."""
+    """Best point found for max |p| on the unit sphere (a lower bound witness).
+
+    start_values holds, per start, the larger of the best |p| its two signed
+    ascents reached, and start_iterations the larger of their iteration
+    counts.  iterations_used is the batch loop count, the largest entry of
+    start_iterations.  converged describes the winning start only: its ascent
+    stopped on a step below tol rather than at max_iters.
+    """
 
     value: float
     argmax: np.ndarray
     converged: bool
     iterations_used: int
     start_values: tuple = ()
+    start_iterations: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +116,19 @@ class Rank1Term:
         object.__setattr__(self, "lam", float(self.lam))
 
 
+# The dense kernel runs when n**d is at most this multiple of the gather size
+# len(terms) * d, the gather kernel otherwise.  On sparse Gaussian forms the
+# two cost the same at a multiple of about 30 (d = 5) to 130 (d = 3);
+# Bombieri-Gaussian forms sit below 4, the sparse forms of the `wide`
+# benchmark workload above 100.
+_DENSE_PER_GATHER = 32
+
+# Largest temporary (in floats) one block of batch rows may allocate in
+# _Form.tx; larger batches run block by block, so memory does not grow with
+# the number of starts.
+_BLOCK_FLOATS = 1 << 21
+
+
 def _index_rows(alphas) -> list:
     """Each monomial as the multiset of its variable indices (weight-many entries)."""
     rows = []
@@ -113,48 +140,93 @@ def _index_rows(alphas) -> list:
     return rows
 
 
-class _BatchPoly:
-    """Vectorized evaluation of one form and its gradient on batches of points.
+def _derivative_table(n: int, J: np.ndarray, c: np.ndarray, order: int):
+    """Monomials of T x^(d - order), with T the symmetric tensor of
+    sum_t c_t prod_a x[J[t, a]].
 
-    Monomials are stored as index multisets so a batch evaluation is a gather
-    plus a product over exactly d factors, which is much faster than powering
-    a dense exponent matrix.
+    Differentiating at each ordered tuple of `order` distinct positions of
+    each row and dividing by the number of such tuples gives (key, rest,
+    coefficient) rows, key being the flat index of the differentiated
+    variables; equal (key, rest) rows are merged, sorted by key.
+    """
+    t, d = J.shape
+    tuples = list(itertools.permutations(range(d), order))
+    if not tuples:
+        return np.zeros(0, np.int64), np.zeros((0, 0), np.int64), np.zeros(0)
+    keys, rests = [], []
+    for pos in tuples:
+        key = np.zeros(t, np.int64)
+        for a in pos:
+            key = key * n + J[:, a]
+        keys.append(key)
+        rests.append(np.delete(J, pos, axis=1))
+    rows = np.column_stack([np.concatenate(keys), np.concatenate(rests)])
+    rows, inv = np.unique(rows, axis=0, return_inverse=True)
+    coef = np.bincount(inv.ravel(), weights=np.tile(c, len(tuples)) / len(tuples))
+    return rows[:, 0], rows[:, 1:], coef
+
+
+class _Form:
+    """One form compiled for batched T x^(d-1) and single-point T x^(d-2).
+
+    T is the symmetric tensor of p, so p(x) = x . T x^(d-1), the gradient is
+    d T x^(d-1) and the Hessian d (d-1) T x^(d-2).  When n**d is small against
+    the gather size, T x^(d-1) for a batch is one GEMM against the dense
+    tensor plus d - 2 batched contractions; otherwise the monomials of the
+    derivative are gathered from index multisets and summed per variable,
+    so the cost follows the number of terms.
     """
 
     def __init__(self, p: HomPoly):
-        self.n = p.n
-        self.d = p.d
+        self.n, self.d = p.n, p.d
+        size = p.n ** p.d
+        if size <= _DENSE_LIMIT and size <= _DENSE_PER_GATHER * len(p.terms) * p.d:
+            self.T = dense_tensor(p)
+            self._row_floats = size // p.n
+            return
+        self.T = None
         alphas = sorted(p.terms)
-        t = len(alphas)
-        self.J = np.array(_index_rows(alphas), dtype=np.int64).reshape(t, p.d)
-        self.c = np.array([p.terms[a] for a in alphas])
-        grows, coeffs, var = [], [], []
-        for alpha in alphas:
-            c = p.terms[alpha]
-            for i, a in enumerate(alpha):
-                if a:
-                    e = list(alpha)
-                    e[i] -= 1
-                    grows.append(e)
-                    coeffs.append(c * a)
-                    var.append(i)
-        self.Jg = np.array(_index_rows(grows), dtype=np.int64).reshape(len(grows), p.d - 1)
-        self.cg = np.array(coeffs)
-        gvar = np.array(var, dtype=np.int64)
-        self._by_var = [np.nonzero(gvar == j)[0] for j in range(p.n)]
+        J = np.array(_index_rows(alphas), dtype=np.int64).reshape(len(alphas), p.d)
+        c = np.array([p.terms[a] for a in alphas])
+        var, self._Jg, self._cg = _derivative_table(p.n, J, c, 1)
+        self._seg = np.flatnonzero(np.r_[True, var[1:] != var[:-1]])
+        self._var = var[self._seg]
+        self._hkey, self._Jh, self._ch = _derivative_table(p.n, J, c, 2)
+        self._row_floats = max(self._Jg.size, 1)
+
+    def tx(self, X: np.ndarray) -> np.ndarray:
+        """T x^(d-1) for every row x of X."""
+        r, n = X.shape
+        block = max(1, _BLOCK_FLOATS // self._row_floats)
+        if r > block:
+            return np.vstack([self.tx(X[lo:lo + block]) for lo in range(0, r, block)])
+        if self.T is None:
+            mono = np.prod(X[:, self._Jg], axis=2) * self._cg
+            out = np.zeros((r, n))
+            out[:, self._var] = np.add.reduceat(mono, self._seg, axis=1)
+            return out
+        if self.d == 1:
+            return np.tile(self.T, (r, 1))
+        Y = X @ self.T.reshape(n, -1)
+        for _ in range(self.d - 2):
+            Y = np.matmul(Y.reshape(r, -1, n), X[:, :, None])[:, :, 0]
+        return Y
+
+    def txx(self, x: np.ndarray) -> np.ndarray:
+        """T x^(d-2) at the point x, an n x n matrix (zero for linear forms)."""
+        n = self.n
+        if self.T is None:
+            vals = np.prod(x[self._Jh], axis=1) * self._ch
+            return np.bincount(self._hkey, weights=vals, minlength=n * n).reshape(n, n)
+        if self.d == 1:
+            return np.zeros((n, n))
+        Y = self.T.reshape(-1, n * n)
+        for _ in range(self.d - 2):
+            Y = (x @ Y.reshape(n, -1)).reshape(-1, n * n)
+        return Y.reshape(n, n)
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        return np.prod(X[:, self.J], axis=2) @ self.c
-
-    def gradients(self, X: np.ndarray) -> np.ndarray:
-        if not len(self.cg):
-            return np.zeros_like(X)
-        mono = np.prod(X[:, self.Jg], axis=2)
-        G = np.zeros_like(X)
-        for j, idx in enumerate(self._by_var):
-            if idx.size:
-                G[:, j] = mono[:, idx] @ self.cg[idx]
-        return G
+        return np.einsum("ij,ij->i", X, self.tx(X))
 
 
 def _start_points(n: int, restarts: int, rng: np.random.Generator) -> np.ndarray:
@@ -165,27 +237,44 @@ def _start_points(n: int, restarts: int, rng: np.random.Generator) -> np.ndarray
     return np.vstack([eye, -eye, rand / norms])
 
 
-def _ascend_batch(bp: _BatchPoly, X0: np.ndarray, sign: float, shift: float,
-                  max_iters: int, tol: float):
-    X = X0.copy()
-    best_vals = sign * bp.values(X)
-    best_X = X.copy()
-    converged = np.zeros(len(X), dtype=bool)
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        G = sign * bp.gradients(X) / bp.d + shift * X
+def _ascend(form: _Form, X0: np.ndarray, sign: np.ndarray, shift: float,
+            max_iters: int, tol: float):
+    """Shifted symmetric power iteration (SS-HOPM) on sign[i] * p from each
+    row X0[i], all rows in one batch.
+
+    A row leaves the batch once a step moves it by less than tol (max-norm),
+    after its new point is evaluated.  Returns per row the best value and
+    point evaluated (the start included), the iterations it ran and whether
+    it stopped that way rather than at max_iters.
+    """
+    m = len(X0)
+    best_v, best_X = np.empty(m), np.empty_like(X0)
+    iters, conv = np.empty(m, dtype=np.int64), np.zeros(m, dtype=bool)
+    rows, X, s = np.arange(m), X0, sign
+    bv, bX = np.full(m, -np.inf), X0.copy()
+    leaving = np.zeros(m, dtype=bool)
+    for it in range(max_iters + 1):
+        TX = form.tx(X)
+        v = s * np.einsum("ij,ij->i", X, TX)
+        better = v > bv
+        bv[better] = v[better]
+        bX[better] = X[better]
+        done = leaving | (it == max_iters)
+        if done.any():
+            out = rows[done]
+            best_v[out], best_X[out] = bv[done], bX[done]
+            iters[out], conv[out] = it, leaving[done]
+            if done.all():
+                break
+            keep = ~done
+            rows, X, TX, s, bv, bX = rows[keep], X[keep], TX[keep], s[keep], bv[keep], bX[keep]
+        G = s[:, None] * TX + shift * X
         norms = np.linalg.norm(G, axis=1, keepdims=True)
         np.maximum(norms, 1e-300, out=norms)
-        Xn = G / norms
-        vals = sign * bp.values(Xn)
-        better = vals > best_vals
-        best_vals[better] = vals[better]
-        best_X[better] = Xn[better]
-        converged |= np.max(np.abs(Xn - X), axis=1) < tol
-        X = Xn
-        if converged.all():
-            break
-    return best_vals, best_X, converged, iters
+        G /= norms
+        leaving = np.max(np.abs(G - X), axis=1) < tol
+        X = G
+    return best_v, best_X, iters, conv
 
 
 def _tangent_basis(x: np.ndarray) -> np.ndarray:
@@ -193,22 +282,24 @@ def _tangent_basis(x: np.ndarray) -> np.ndarray:
     return q[:, 1:]
 
 
-def _polish(p: HomPoly, x: np.ndarray, rounds: int = 15) -> np.ndarray:
+def _polish(form: _Form, x: np.ndarray, rounds: int = 15) -> np.ndarray:
     """Newton refinement of a sphere stationary point; keeps only improving steps."""
     x = np.asarray(x, dtype=float)
     x = x / np.linalg.norm(x)
-    if p.n == 1:
+    n, d = form.n, form.d
+    if n == 1:
         return x
-    fx = evaluate(p, x)
+    tx = form.tx(x[None])[0]
+    fx = float(x @ tx)
     sign = 1.0 if fx >= 0 else -1.0
     for _ in range(rounds):
-        g = sign * gradient(p, x)
+        g = sign * d * tx
         lam = float(x @ g)
         gt = g - lam * x
-        if np.linalg.norm(gt) <= 1e-15 * p.d * max(1.0, abs(fx)):
+        if np.linalg.norm(gt) <= 1e-15 * d * max(1.0, abs(fx)):
             break
         Qt = _tangent_basis(x)
-        Ht = Qt.T @ (sign * hessian(p, x) - lam * np.eye(p.n)) @ Qt
+        Ht = Qt.T @ (sign * d * (d - 1) * form.txx(x) - lam * np.eye(n)) @ Qt
         gq = Qt.T @ gt
         try:
             delta = np.linalg.solve(Ht, -gq)
@@ -219,9 +310,10 @@ def _polish(p: HomPoly, x: np.ndarray, rounds: int = 15) -> np.ndarray:
         for _ in range(25):
             xn = x + Qt @ (step * delta)
             xn /= np.linalg.norm(xn)
-            fn = evaluate(p, xn)
+            txn = form.tx(xn[None])[0]
+            fn = float(xn @ txn)
             if sign * fn > sign * fx:
-                x, fx = xn, fn
+                x, tx, fx = xn, txn, fn
                 improved = True
                 break
             step *= 0.5
@@ -233,39 +325,47 @@ def _polish(p: HomPoly, x: np.ndarray, rounds: int = 15) -> np.ndarray:
 def operator_norm(p: HomPoly, cfg: OptimizerConfig | None = None) -> SphereMax:
     """Best lower bound on max_{|x|=1} |p(x)| found by the multistart iteration.
 
-    Both signs of p are chased from every start; ties across starts are broken
-    by the lowest start index so results do not depend on scheduling.
+    Both signs of p are chased from every start in one batch; ties across
+    starts are broken by the lowest start index so results do not depend on
+    scheduling.  A linear form c.x is answered in closed form, at c/||c||.
     """
     if p.is_zero:
         raise ValueError("operator-norm argmax is undefined for the zero polynomial")
     cfg = cfg or OptimizerConfig()
+    n_starts = 2 * p.n + cfg.restarts
+    if p.d == 1:
+        c = dense_tensor(p)
+        x = c / np.linalg.norm(c)
+        value = abs(evaluate(p, x))
+        return SphereMax(value=value, argmax=x, converged=True, iterations_used=0,
+                         start_values=(value,) * n_starts,
+                         start_iterations=(0,) * n_starts)
     shift = cfg.shift if cfg.shift is not None else 1.0 + bombieri_norm(p)
     rng = np.random.default_rng(cfg.seed)
     starts = _start_points(p.n, cfg.restarts, rng)
-    bp = _BatchPoly(p)
-    vp, xp, conv_p, it_p = _ascend_batch(bp, starts, 1.0, shift, cfg.max_iters, cfg.tol)
-    vm, xm, conv_m, it_m = _ascend_batch(bp, starts, -1.0, shift, cfg.max_iters, cfg.tol)
+    form = _Form(p)
+    sign = np.repeat([1.0, -1.0], n_starts)
+    vals, X, iters, conv = _ascend(form, np.vstack([starts, starts]), sign, shift,
+                                   cfg.max_iters, cfg.tol)
+    vp, vm = vals[:n_starts], vals[n_starts:]
     per_start = np.maximum(vp, vm)
-    use_minus = vm > vp
     best_i = 0
     best_v = -math.inf
     for i, v in enumerate(per_start):
         if v > best_v + _TIE_TOL:
             best_v = float(v)
             best_i = i
-    if use_minus[best_i]:
-        x, conv = xm[best_i], conv_m[best_i]
-    else:
-        x, conv = xp[best_i], conv_p[best_i]
-    x = _polish(p, x)
+    win = best_i + n_starts if vm[best_i] > vp[best_i] else best_i
+    x = _polish(form, X[win])
     x = x / np.linalg.norm(x)
     value = abs(evaluate(p, x))
     return SphereMax(
         value=value,
         argmax=x,
-        converged=bool(conv),
-        iterations_used=max(it_p, it_m),
+        converged=bool(conv[win]),
+        iterations_used=int(iters.max()),
         start_values=tuple(float(v) for v in per_start),
+        start_iterations=tuple(int(i) for i in np.maximum(iters[:n_starts], iters[n_starts:])),
     )
 
 
@@ -294,13 +394,13 @@ def operator_norm_oracle(p: HomPoly) -> float:
 
 
 def _grid_oracle(p: HomPoly, step: float = 0.002) -> float:
-    bp = _BatchPoly(p)
     if p.n == 1:
         return abs(p.terms.get((p.d,), 0.0))
+    form = _Form(p)
     if p.n == 2:
         t = np.arange(0.0, np.pi, step)  # |p| is antipodally symmetric
         pts = np.stack([np.cos(t), np.sin(t)], axis=1)
-        vals = np.abs(bp.values(pts))
+        vals = np.abs(form.values(pts))
         i = int(np.argmax(vals))
         best_v, best_x = float(vals[i]), pts[i]
     else:
@@ -320,15 +420,15 @@ def _grid_oracle(p: HomPoly, step: float = 0.002) -> float:
                 ],
                 axis=1,
             )
-            vals = np.abs(bp.values(pts))
+            vals = np.abs(form.values(pts))
             i = int(np.argmax(vals))
             if vals[i] > best_v:
                 best_v, best_x = float(vals[i]), pts[i]
     shift = 1.0 + bombieri_norm(p)
-    for sign in (1.0, -1.0):
-        _, X, _, _ = _ascend_batch(bp, best_x.reshape(1, -1), sign, shift, 2000, 1e-14)
-        x = _polish(p, X[0])
-        best_v = max(best_v, abs(evaluate(p, x)))
+    _, X, _, _ = _ascend(form, np.vstack([best_x, best_x]), np.array([1.0, -1.0]),
+                         shift, 2000, 1e-14)
+    for x in X:
+        best_v = max(best_v, abs(evaluate(p, _polish(form, x))))
     return best_v
 
 

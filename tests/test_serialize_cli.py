@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 
@@ -256,6 +258,37 @@ def test_cli_rejects_non_finite_coefficient(capsys, c):
     assert code == 1
     assert out == ""
     assert "term 0: coefficient must be a finite nonzero number" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"n":true,"d":1,"terms":[{"alpha":[1],"c":2.0}]}',
+    '{"n":1,"d":true,"terms":[{"alpha":[1],"c":2.0}]}',
+    '{"n":1,"d":1,"terms":[{"alpha":[true],"c":2.0}]}',
+], ids=["n", "d", "alpha"])
+def test_cli_rejects_boolean_integers(capsys, text):
+    code, out, err = run_cli(["norm", text], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("model", ["bombieri-gaussian", "planted-lowrank", "sparse"])
+def test_cli_gen_size_guard(model):
+    # a missing guard would expand about 1.7e16 monomials; the address-space
+    # cap and the timeout turn that into a failure instead of a stuck host
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyrank.cli", "gen", "--n", "400", "--d", "8",
+         "--model", model],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "refusing" in proc.stderr or "too large" in proc.stderr
 
 
 def test_cli_parse_error_exit_code(capsys):

@@ -11,6 +11,8 @@ from polyrank import (
     bombieri_inner,
     bombieri_norm,
     evaluate,
+    gradient,
+    hessian,
     norm_ratio_probe,
     operator_norm,
     operator_norm_oracle,
@@ -21,8 +23,9 @@ from polyrank import (
     subspace_norm,
     zero_poly,
 )
+from polyrank import sphere
 from polyrank.frames import random_frame, random_orthogonal
-from polyrank.generators import bombieri_gaussian
+from polyrank.generators import bombieri_gaussian, sparse_gaussian
 
 from conftest import poly_of
 
@@ -62,6 +65,70 @@ def test_opnorm_invariants(rng):
     assert np.linalg.norm(sm.argmax) == pytest.approx(1.0, abs=1e-12)
     assert sm.value <= bombieri_norm(p) + 1e-9  # lower bound on a smaller norm
     assert len(sm.start_values) == 2 * p.n + CFG.restarts
+    assert len(sm.start_iterations) == len(sm.start_values)
+    assert max(sm.start_iterations) == sm.iterations_used <= CFG.max_iters
+
+
+def test_opnorm_linear_form_closed_form(rng):
+    p = bombieri_gaussian(4, 1, rng)
+    c = np.array([p.terms.get(tuple(int(j == i) for j in range(4)), 0.0) for i in range(4)])
+    sm = operator_norm(p, CFG)
+    assert sm.value == pytest.approx(bombieri_norm(p), rel=1e-14)
+    assert np.allclose(sm.argmax, c / np.linalg.norm(c), rtol=0, atol=1e-15)
+    assert abs(evaluate(p, sm.argmax)) == sm.value
+    assert sm.start_values and len(sm.start_values) == 2 * p.n + CFG.restarts
+
+
+def _with_kernel(monkeypatch, kernel):
+    """Force the dense or the gather kernel of the compiled form."""
+    monkeypatch.setattr(sphere, "_DENSE_PER_GATHER", 10 ** 9 if kernel == "dense" else 0)
+
+
+@pytest.mark.parametrize("kernel", ["dense", "gather"])
+def test_form_kernels_match_dict_derivatives(monkeypatch, rng, kernel):
+    _with_kernel(monkeypatch, kernel)
+    for d in (1, 2, 3, 4):
+        for n in (1, 3, 5):
+            p = bombieri_gaussian(n, d, rng)
+            form = sphere._Form(p)
+            assert (form.T is not None) == (kernel == "dense")
+            X = rng.standard_normal((4, n))
+            X /= np.linalg.norm(X, axis=1, keepdims=True)
+            # unit points: every entry sums terms of size at most d^2 |c|
+            tol = 1e-13 * d * d * sum(abs(c) for c in p.terms.values())
+            G, vals = form.tx(X), form.values(X)
+            for x, g, v in zip(X, G, vals):
+                assert np.max(np.abs(d * g - gradient(p, x))) <= tol
+                assert np.max(np.abs(d * (d - 1) * form.txx(x) - hessian(p, x))) <= tol
+                assert abs(v - evaluate(p, x)) <= tol
+
+
+@pytest.mark.parametrize("kernel", ["dense", "gather"])
+def test_form_blocks_of_rows_match_one_batch(monkeypatch, rng, kernel):
+    _with_kernel(monkeypatch, kernel)
+    form = sphere._Form(bombieri_gaussian(4, 3, rng))
+    X = rng.standard_normal((7, 4))
+    whole = form.tx(X)
+    monkeypatch.setattr(sphere, "_BLOCK_FLOATS", 2 * form._row_floats)  # blocks of 2 rows
+    np.testing.assert_allclose(form.tx(X), whole, rtol=1e-14, atol=1e-14)
+
+
+def test_opnorm_kernels_agree(monkeypatch, rng):
+    for p in (bombieri_gaussian(5, 3, rng), sparse_gaussian(6, 4, 18, rng)):
+        values = []
+        for kernel in ("dense", "gather"):
+            _with_kernel(monkeypatch, kernel)
+            values.append(operator_norm(p, CFG).value)
+        assert values[1] == pytest.approx(values[0], rel=1e-12)
+
+
+def test_opnorm_d2_n12_chain_config_vs_eigen_oracle(rng):
+    # the iterative path at a size criterion 2 does not reach
+    cfg = OptimizerConfig(restarts=6, max_iters=150, tol=1e-9)
+    for _ in range(5):
+        p = bombieri_gaussian(12, 2, rng)
+        true = operator_norm_oracle(p)
+        assert abs(operator_norm(p, cfg).value - true) <= 1e-6 * true
 
 
 def test_opnorm_zero_rejected():
