@@ -39,6 +39,8 @@ def _load_poly(source: str):
         return serialize.poly_loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CliError("malformed JSON: nested too deeply") from exc
     except ValueError as exc:
         raise CliError(f"bad polynomial: {exc}") from exc
 
@@ -73,6 +75,8 @@ def _sig12(x: float) -> str:
 def cmd_norm(args) -> int:
     p = _load_poly(args.input)
     payload = {"bombieri": bombieri_norm(p), "max_coeff": max_coeff_norm(p)}
+    if math.isinf(payload["bombieri"]):
+        raise CliError("Bombieri norm exceeds the largest double")
     lines = [f"bombieri {_sig12(payload['bombieri'])}",
              f"max_coeff {_sig12(payload['max_coeff'])}"]
     _emit(args, payload, lines)
@@ -183,7 +187,8 @@ def cmd_chain_check(args) -> int:
         raise CliError(f"report file not found: {args.report}")
     try:
         report = serialize.report_from_dict(json.loads(path.read_text()))
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError, AttributeError) as exc:
+    except (json.JSONDecodeError, KeyError, ValueError, TypeError, AttributeError,
+            RecursionError) as exc:
         raise CliError(f"bad report: {exc}") from exc
     try:
         check = concentration.verify_chain(p, report, _config(args))
@@ -231,6 +236,9 @@ def cmd_gen(args) -> int:
         if size > _BENCH_TERM_LIMIT:
             raise CliError(f"model {model} at n={args.n}, d={args.d} would need {size} "
                            f"dense terms; refusing above {_BENCH_TERM_LIMIT}")
+    if model == "hard-family" and args.n * args.n > _BENCH_TERM_LIMIT:
+        raise CliError(f"model hard-family at n={args.n} would need {args.n * args.n} "
+                       f"exponent entries; refusing above {_BENCH_TERM_LIMIT}")
     rng = np.random.default_rng(args.seed)
     if model == "hard-family":
         p = lowrank.hard_family(args.n)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .frames import Frame, complete_orthogonal
 from .lowrank import LowRankApprox, greedy_approximate, reconstruct
@@ -238,6 +237,10 @@ def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
 
     if approx.terms:
         D = np.stack([t.u for t in approx.terms], axis=1)
+        # Imported here, not at module top: importing scipy.linalg is most of
+        # a CLI command's start-up time, and only this pivoted QR needs it.
+        import scipy.linalg
+
         Q, R, _ = scipy.linalg.qr(D, mode="economic", pivoting=True)
         k = int(np.sum(np.abs(np.diag(R)) > _RANK_TOL))
         basis = Q[:, :k]

@@ -212,7 +212,25 @@ def bombieri_inner(p: HomPoly, q: HomPoly) -> float:
 
 
 def bombieri_norm(p: HomPoly) -> float:
-    return math.sqrt(max(bombieri_inner(p, p), 0.0))
+    """sqrt(bombieri_inner(p, p)), summed on p scaled by a power of two.
+
+    The scaling puts the largest coefficient in [0.5, 1), so c*c cannot
+    overflow or lose the largest terms to underflow; it is exact, so the
+    result equals the unscaled sum's whenever that one stays in range.  A
+    norm above the largest double is returned as inf.
+    """
+    big = max_coeff_norm(p)
+    if big == 0.0:
+        return 0.0
+    e = math.frexp(big)[1]
+    total = 0.0
+    for alpha, c in p.terms.items():
+        c = math.ldexp(c, -e)
+        total += c * c / _multinomial_cached(p.d, alpha)
+    try:
+        return math.ldexp(math.sqrt(total), e)
+    except OverflowError:
+        return math.inf
 
 
 def max_coeff_norm(p: HomPoly) -> float:

@@ -24,6 +24,7 @@ from polyrank import (
     restrict_zero,
     zero_poly,
 )
+from polyrank import poly as poly_mod
 from polyrank.frames import random_frame, random_orthogonal
 from polyrank.generators import bombieri_gaussian, sparse_gaussian
 
@@ -293,6 +294,28 @@ def test_project_subspace_idempotent_and_contractive(rng):
         pvv = project_subspace(pv, V)
         assert bombieri_norm(pv - pvv) < 1e-10 * max(1.0, bombieri_norm(p))
         assert bombieri_norm(pv) <= bombieri_norm(p) + 1e-10
+
+
+def test_substitution_fallback_matches_dense(rng, monkeypatch):
+    # forms small enough to densify, expanded once by the dense tensordot path
+    # and once, with the dense limit at 0, by the term-by-term fallback; the
+    # coordinate frame's zero rows kill every term touching x_3..x_n
+    cases = []
+    for n in (3, 4, 5):
+        for d in (1, 2, 3, 4):
+            p = bombieri_gaussian(n, d, rng)
+            Q = random_orthogonal(n, rng)
+            V = Frame(n, 2, np.eye(n)[:, :2])
+            cases.append((p, Q, V, apply_orthogonal(p, Q), project_subspace(p, V)))
+    monkeypatch.setattr(poly_mod, "_DENSE_LIMIT", 0)
+    for p, Q, V, rotated, projected in cases:
+        tol = 1e-12 * max_coeff_norm(p)
+        for dense, fallback in ((rotated, apply_orthogonal(p, Q)),
+                                (projected, project_subspace(p, V))):
+            keys = set(dense.terms) | set(fallback.terms)
+            gap = max(abs(dense.terms.get(e, 0.0) - fallback.terms.get(e, 0.0))
+                      for e in keys)
+            assert gap <= tol, (p.n, p.d, gap)
 
 
 def test_restrict_zero():

@@ -1,0 +1,107 @@
+"""Hypothesis properties of the input boundary and of the norms.
+
+Every test runs derandomized with a fixed example budget, no deadline and no
+example database, so the suite stays deterministic, its run time does not
+depend on the host, and it leaves no files behind.
+"""
+
+import contextlib
+import io
+import json
+import sys
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from polyrank import HomPoly, bombieri_norm, max_coeff_norm
+from polyrank.cli import main
+
+PROPERTY = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+
+_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=8))
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+# three families: arbitrary JSON, objects with the right keys and values of
+# mixed types, and well-shaped forms whose coefficients are arbitrary numbers
+_small_int = st.integers(-2, 5)
+_term = st.fixed_dictionaries(
+    {"alpha": st.lists(_small_int | st.booleans() | st.floats(), max_size=5) | _json,
+     "c": _scalars},
+) | _json
+_poly_like = st.fixed_dictionaries(
+    {"n": _small_int | _scalars, "d": _small_int | _scalars,
+     "terms": st.lists(_term, max_size=5) | _json},
+)
+
+
+def _exponents(n, d):
+    """Exponent lists of length n and weight d."""
+    return st.lists(st.integers(0, n - 1), min_size=d, max_size=d).map(
+        lambda idx: [idx.count(i) for i in range(n)])
+
+
+@st.composite
+def _well_shaped(draw):
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    alphas = draw(st.lists(_exponents(n, d), max_size=5))
+    c = st.floats() | st.integers() | st.floats(-4.0, 4.0)
+    return {"n": n, "d": d, "terms": [{"alpha": a, "c": draw(c)} for a in alphas]}
+
+
+def _run_norm(text):
+    """cli.main on one document: inline when it is an object, else on stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["norm", text] if text.lstrip().startswith("{") else ["norm", "-"]
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@PROPERTY
+@given((_json | _poly_like | _well_shaped()).map(json.dumps))
+@example("[" * 3000 + "]" * 3000)
+@example('{"n": 2, "d": 2, "terms": [{"alpha": [1, 1], "c": 1e400}]}')
+@example('{"n": 1, "d": 1, "terms": [{"alpha": [1], "c": 1.3407807929942597e+154}]}')
+@example('{"n": 2, "d": 1, "terms": [{"alpha": [1, 0], "c": 1.7e308},'
+         ' {"alpha": [0, 1], "c": 1.7e308}]}')
+def test_cli_norm_any_json_exits_0_or_1(text):
+    code, out, err = _run_norm(text)
+    assert code in (0, 1)
+    if code == 0:
+        assert err == "" and "nan" not in out and "inf" not in out
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# any magnitude whose products with 2**k stay normal doubles, so that the
+# input itself scales exactly
+_coeff = st.floats(2.0 ** -1000, 2.0 ** 1000) | st.floats(-(2.0 ** 1000), -(2.0 ** -1000))
+
+
+@st.composite
+def _forms(draw):
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    alphas = _exponents(n, d).map(tuple)
+    return HomPoly(n, d, draw(st.dictionaries(alphas, _coeff, min_size=1, max_size=8)))
+
+
+@PROPERTY
+@given(_forms(), st.integers(-8, 8))
+@example(HomPoly(1, 2, {(2,): 1.5 * 2.0 ** -530}), -8)  # c*c subnormal
+@example(HomPoly(1, 2, {(2,): 1.5 * 2.0 ** 508}), 8)  # c*c overflows after scaling
+def test_norms_scale_exactly_by_powers_of_two(p, k):
+    s = 2.0 ** k
+    q = s * p
+    assert bombieri_norm(q) == s * bombieri_norm(p)
+    assert max_coeff_norm(q) == s * max_coeff_norm(p)

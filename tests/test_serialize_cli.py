@@ -272,16 +272,20 @@ def test_cli_rejects_boolean_integers(capsys, text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("model", ["bombieri-gaussian", "planted-lowrank", "sparse"])
+@pytest.mark.parametrize("model", ["bombieri-gaussian", "planted-lowrank", "sparse",
+                                   "hard-family"])
 def test_cli_gen_size_guard(model):
-    # a missing guard would expand about 1.7e16 monomials; the address-space
-    # cap and the timeout turn that into a failure instead of a stuck host
+    # a missing guard would expand about 1.7e16 monomials (or, for hard-family,
+    # 1e5 exponent tuples of length 1e5); the address-space cap and the timeout
+    # turn that into a failure instead of a stuck host
+    n = "100000" if model == "hard-family" else "400"
+
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "polyrank.cli", "gen", "--n", "400", "--d", "8",
+        [sys.executable, "-m", "polyrank.cli", "gen", "--n", n, "--d", "8",
          "--model", model],
         capture_output=True, text=True, timeout=60, preexec_fn=cap_memory, env=env,
     )
@@ -337,6 +341,42 @@ def test_cli_stdin_input(capsys, monkeypatch):
     code, out, _ = run_cli(["norm", "-"], capsys)
     assert code == 0
     assert out.splitlines()[0] == "bombieri 2"
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import polyrank, polyrank.cli
+steps = [["import", 0, "scipy" in sys.modules]]
+form, report = sys.argv[1:]
+for argv in (["gen", "--n", "5", "--d", "2"], ["norm", form], ["opnorm", form],
+             ["subnorm", form, "--k", "2"], ["approx", form, "--eps", "0.5"],
+             ["chain-check", form, "--report", report],
+             ["concentrate", form, "--eps", "0.8", "--eps-inner", "0.45"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = polyrank.cli.main(argv + ["--seed", "5", "--restarts", "6"])
+    steps.append([argv[0], code, "scipy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_cli_cold_start_leaves_scipy_unloaded(tmp_path):
+    # importing scipy.linalg is most of a command's start-up time, and only
+    # the pivoted QR in concentrate needs it; a fresh interpreter is required
+    # because this process may already hold scipy
+    form, report = tmp_path / "p.json", tmp_path / "rep.json"
+    fixed = ["--seed", "5", "--restarts", "6"]
+    assert main(["gen", "--n", "5", "--d", "2", "--out", str(form)] + fixed) == 0
+    assert main(["concentrate", str(form), "--eps", "0.8", "--eps-inner", "0.45",
+                 "--format", "json", "--out", str(report)] + fixed) == 0
+    assert json.loads(report.read_text())["approx"]["terms"], "QR branch not reached"
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(form), str(report)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    assert steps[0] == ["import", 0, False]
+    assert steps[1:-1] == [[name, 0, False] for name in
+                           ("gen", "norm", "opnorm", "subnorm", "approx", "chain-check")]
+    assert steps[-1] == ["concentrate", 0, True]
 
 
 def test_cli_entrypoint_subprocess():
