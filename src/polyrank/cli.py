@@ -109,6 +109,10 @@ def cmd_subnorm(args) -> int:
     p = _load_poly(args.input)
     if args.k is None:
         raise CliError("subnorm requires --k")
+    if 1 <= args.k <= p.n and p.n * args.k > _BENCH_TERM_LIMIT:
+        # the answer is an n x k frame, printed in full
+        raise CliError(f"subnorm at n={p.n}, k={args.k} would need a frame of "
+                       f"{p.n * args.k} entries; refusing above {_BENCH_TERM_LIMIT}")
     if args.oracle:
         if p.d != 2:
             raise CliError("oracle unavailable: subspace-norm oracle needs degree 2")

@@ -14,9 +14,11 @@ true maximum of |p|; nothing here certifies upper bounds.
 
 The frame maximizer raises ||restriction of p to a k-dim subspace||^2 over
 orthonormal n x k frames by shifted symmetric higher-order orthogonal
-iteration (HOOI), run from the top singular frame of the tensor unfolding,
-from any caller-supplied frames, and from seeded random frames.  For k = 1
-that norm is |p(u)|, so the sphere maximizer answers it.
+iteration (HOOI), started from the top singular frame of the tensor
+unfolding, from any caller-supplied frames, and from seeded random frames,
+all in one numpy batch (in blocks bounded in floats) from which each start
+leaves once its span stops moving.  For k = 1 that norm is |p(u)|, so the
+sphere maximizer answers it.
 """
 
 from __future__ import annotations
@@ -91,12 +93,18 @@ class SphereMax:
 
 @dataclass(frozen=True, eq=False)
 class FrameMax:
-    """Best frame found for max ||p restricted to a k-dim subspace||."""
+    """Best frame found for max ||p restricted to a k-dim subspace||.
+
+    start_values holds, per start, the best value its iteration reached, and
+    start_iterations the iterations it ran, in the same order; both are empty
+    for the closed-form answers.  converged describes the winning start only.
+    """
 
     value: float
     frame: Frame
     converged: bool
     start_values: tuple = ()
+    start_iterations: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +132,8 @@ class Rank1Term:
 _DENSE_PER_GATHER = 32
 
 # Largest temporary (in floats) one block of batch rows may allocate in
-# _Form.tx; larger batches run block by block, so memory does not grow with
-# the number of starts.
+# _Form.tx, or one block of start frames in _hooi; larger batches run block
+# by block, so memory does not grow with the number of starts.
 _BLOCK_FLOATS = 1 << 21
 
 
@@ -433,16 +441,18 @@ def _grid_oracle(p: HomPoly, step: float = 0.002) -> float:
 
 
 def _fix_column_signs(B: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest entry is positive."""
-    i = np.argmax(np.abs(B), axis=0)[None, :]
-    signs = np.sign(np.take_along_axis(B, i, axis=0))
+    """Flip each column (along axis -2, for one frame or a stack of frames)
+    so its largest entry is positive."""
+    i = np.argmax(np.abs(B), axis=-2)[..., None, :]
+    signs = np.sign(np.take_along_axis(B, i, axis=-2))
     signs[signs == 0] = 1.0
     return B * signs
 
 
-def _hooi(T: np.ndarray, B: np.ndarray, max_iters: int, tol: float):
-    """Shifted symmetric higher-order orthogonal iteration from the start
-    frame B (n x k), for max ||T x_1 B ... x_d B||_F^2.
+def _hooi(T: np.ndarray, B0: np.ndarray, max_iters: int, tol: float):
+    """Shifted symmetric higher-order orthogonal iteration from each start
+    frame B0[i] (n x k), for max ||T x_1 B ... x_d B||_F^2, all starts in one
+    batch.
 
     W is T contracted with B in modes 2..d, an n x k^(d-1) matrix.  HOOI (De
     Lathauwer, De Moor & Vandewalle, SIAM J. Matrix Anal. Appl. 21(4), 2000)
@@ -450,27 +460,50 @@ def _hooi(T: np.ndarray, B: np.ndarray, max_iters: int, tol: float):
     of W W^T.  The symmetric iteration is not monotone and can cycle, so, as
     the shift of SS-HOPM does for k = 1, the step adds sigma^2 B B^T to W W^T
     with sigma^2 = ||B^T W||_F^2 / (2k), half the mean eigenvalue of
-    B^T W W^T B.  The iteration stops once the new frame lies within tol of
-    the old span.  Returns the best value and frame evaluated, the start
-    included, and whether it stopped that way.
+    B^T W W^T B.  A start leaves the batch once its new frame lies within tol
+    of the old span.  Every step runs on the frames of each start exactly as
+    it would alone, so the batch changes no bit of any start's result.
+    Starts run in blocks whose largest temporary, W or M, stays within
+    _BLOCK_FLOATS floats.  Returns per start the best value and frame
+    evaluated (the start included), the iterations it ran and whether it
+    stopped on the span test rather than at max_iters.
     """
-    n, k = B.shape
+    s, n, k = B0.shape
+    block = max(1, _BLOCK_FLOATS // (n * max(n ** (T.ndim - 2) * k, n)))
+    if s > block:
+        parts = [_hooi(T, B0[lo:lo + block], max_iters, tol) for lo in range(0, s, block)]
+        return tuple(np.concatenate(a) for a in zip(*parts))
     flat = T.reshape(-1, n)
-    best_g, best_B = -math.inf, B
-    for _ in range(max_iters):
-        # contract modes d, d-1, ..., 2 in turn: W ends n x k^(d-1)
+    best_g, best_B = np.empty(s), np.empty_like(B0)
+    iters, conv = np.full(s, max_iters), np.zeros(s, dtype=bool)
+    rows, B = np.arange(s), B0
+    bg, bB = np.full(s, -np.inf), B0.copy()
+    for it in range(max_iters):
+        r = len(rows)
+        Bt = B.transpose(0, 2, 1)
+        # contract modes d, d-1, ..., 2 in turn: W ends r x n x k^(d-1)
         W = flat @ B
         for _ in range(T.ndim - 2):
-            W = (B.T @ W.reshape(-1, n, W.shape[-1])).reshape(-1, k * W.shape[-1])
-        g = float(np.sum((B.T @ W) ** 2))
-        if g > best_g:
-            best_g, best_B = g, B
-        M = W @ W.T + g / (2 * k) * (B @ B.T)
-        U = _fix_column_signs(np.linalg.eigh(M)[1][:, :-k - 1:-1])
-        if np.linalg.norm(U - B @ (B.T @ U)) < tol:
-            return best_g, best_B, True
+            W = (Bt[:, None] @ W.reshape(r, -1, n, W.shape[-1])).reshape(r, -1, k * W.shape[-1])
+        g = np.sum(((Bt @ W) ** 2).reshape(r, -1), axis=1)
+        better = g > bg
+        bg[better] = g[better]
+        bB[better] = B[better]
+        M = W @ W.transpose(0, 2, 1) + (g / (2 * k))[:, None, None] * (B @ Bt)
+        U = _fix_column_signs(np.linalg.eigh(M)[1][..., :-k - 1:-1])
+        R = (U - B @ (Bt @ U)).reshape(r, 1, -1)
+        leaving = np.sqrt(R @ R.transpose(0, 2, 1))[:, 0, 0] < tol
+        if leaving.any():
+            out = rows[leaving]
+            best_g[out], best_B[out] = bg[leaving], bB[leaving]
+            iters[out], conv[out] = it + 1, True
+            keep = ~leaving
+            rows, U, bg, bB = rows[keep], U[keep], bg[keep], bB[keep]
+            if not len(rows):
+                break
         B = U
-    return best_g, best_B, False
+    best_g[rows], best_B[rows] = bg, bB
+    return best_g, best_B, iters, conv
 
 
 def subspace_norm(p: HomPoly, k: int, cfg: OptimizerConfig | None = None,
@@ -506,14 +539,15 @@ def subspace_norm(p: HomPoly, k: int, cfg: OptimizerConfig | None = None,
             if v > value:
                 value, u = v, f.basis[:, 0]
         return FrameMax(value, Frame(p.n, 1, u.reshape(-1, 1)), sm.converged,
-                        sm.start_values + tuple(extra))
+                        sm.start_values + tuple(extra),
+                        sm.start_iterations + (0,) * len(extra))
     T = dense_tensor(p)
     U = np.linalg.svd(T.reshape(p.n, -1), full_matrices=False)[0]
     starts = [_fix_column_signs(U[:, :k])]
     starts += [f.basis for f in extra_starts]
     rng = np.random.default_rng(cfg.seed)
     starts += [random_frame(p.n, k, rng).basis for _ in range(cfg.restarts)]
-    g, B, conv = zip(*(_hooi(T, b, cfg.max_iters, cfg.tol) for b in starts))
+    g, B, iters, conv = _hooi(T, np.stack(starts), cfg.max_iters, cfg.tol)
     best = 0
     for i in range(1, len(g)):
         if g[i] > g[best] + _TIE_TOL:
@@ -523,6 +557,7 @@ def subspace_norm(p: HomPoly, k: int, cfg: OptimizerConfig | None = None,
         frame=Frame(p.n, k, B[best]),
         converged=bool(conv[best]),
         start_values=tuple(math.sqrt(max(v, 0.0)) for v in g),
+        start_iterations=tuple(int(i) for i in iters),
     )
 
 

@@ -272,27 +272,41 @@ def test_cli_rejects_boolean_integers(capsys, text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("model", ["bombieri-gaussian", "planted-lowrank", "sparse",
-                                   "hard-family"])
-def test_cli_gen_size_guard(model):
-    # a missing guard would expand about 1.7e16 monomials (or, for hard-family,
-    # 1e5 exponent tuples of length 1e5); the address-space cap and the timeout
-    # turn that into a failure instead of a stuck host
-    n = "100000" if model == "hard-family" else "400"
-
+def _run_cli_capped(argv):
+    """The CLI in a fresh process under a 1 GB address-space cap and a 60 s
+    timeout, so a missing size guard fails instead of stalling the host."""
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "polyrank.cli", "gen", "--n", n, "--d", "8",
-         "--model", model],
-        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory, env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "polyrank.cli"] + argv,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=cap_memory, env=env)
+
+
+@pytest.mark.parametrize("model", ["bombieri-gaussian", "planted-lowrank", "sparse",
+                                   "hard-family"])
+def test_cli_gen_size_guard(model):
+    # a missing guard would expand about 1.7e16 monomials (or, for hard-family,
+    # 1e5 exponent tuples of length 1e5)
+    n = "100000" if model == "hard-family" else "400"
+    proc = _run_cli_capped(["gen", "--n", n, "--d", "8", "--model", model])
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "refusing" in proc.stderr or "too large" in proc.stderr
+
+
+@pytest.mark.parametrize("k", ["2", "100000000000"])
+def test_cli_subnorm_size_guard(k):
+    # a zero form's document does not bound n, and the answer is an n x k
+    # frame: without the guard this allocates terabytes
+    proc = _run_cli_capped(["subnorm", '{"n": 100000000000, "d": 2, "terms": []}',
+                            "--k", k])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "refusing" in proc.stderr
 
 
 def test_cli_parse_error_exit_code(capsys):
@@ -386,3 +400,30 @@ def test_cli_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "bombieri 2"
+
+
+def _degree3_matrix(tmp_path, threads: str) -> bytes:
+    poly_path = tmp_path / "p3.json"
+    report_path = tmp_path / f"rep3-{threads}.json"
+    env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+    fixed = ["--seed", "5", "--restarts", "6", "--format", "json"]
+    outputs = []
+    for cmd in (["gen", "--n", "6", "--d", "3"],
+                ["subnorm", str(poly_path), "--k", "3"],
+                ["concentrate", str(poly_path), "--eps", "0.8", "--eps-inner", "0.45",
+                 "--out", str(report_path)],
+                ["chain-check", str(poly_path), "--report", str(report_path)]):
+        proc = subprocess.run([sys.executable, "-m", "polyrank.cli"] + cmd + fixed,
+                              capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, (cmd, proc.stderr.decode())
+        outputs.append(proc.stdout)
+        if cmd[0] == "gen":
+            poly_path.write_bytes(proc.stdout)
+        if cmd[0] == "concentrate":
+            outputs.append(report_path.read_bytes())
+    return b"\x00".join(outputs)
+
+
+def test_cli_degree3_determinism_across_thread_counts(tmp_path):
+    # the stacked matmul and eigh of the frame maximizer under threaded BLAS
+    assert _degree3_matrix(tmp_path, "1") == _degree3_matrix(tmp_path, "2")

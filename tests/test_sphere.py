@@ -1,4 +1,8 @@
 import math
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from polyrank import (
     best_rank1,
     bombieri_inner,
     bombieri_norm,
+    dense_tensor,
     evaluate,
     gradient,
     hessian,
@@ -327,6 +332,134 @@ def test_subnorm_k_range():
         subspace_norm(sum_squares(3), 0, CFG)
     with pytest.raises(ValueError):
         subspace_norm(sum_squares(3), 4, CFG)
+
+
+def _fix_column_signs_one(B):
+    i = np.argmax(np.abs(B), axis=0)[None, :]
+    signs = np.sign(np.take_along_axis(B, i, axis=0))
+    signs[signs == 0] = 1.0
+    return B * signs
+
+
+def _hooi_one(T, B, max_iters, tol):
+    """HOOI from one start frame at a time: the reference for the batch."""
+    n, k = B.shape
+    flat = T.reshape(-1, n)
+    best_g, best_B = -math.inf, B
+    for _ in range(max_iters):
+        W = flat @ B
+        for _ in range(T.ndim - 2):
+            W = (B.T @ W.reshape(-1, n, W.shape[-1])).reshape(-1, k * W.shape[-1])
+        g = float(np.sum((B.T @ W) ** 2))
+        if g > best_g:
+            best_g, best_B = g, B
+        M = W @ W.T + g / (2 * k) * (B @ B.T)
+        U = _fix_column_signs_one(np.linalg.eigh(M)[1][:, :-k - 1:-1])
+        if np.linalg.norm(U - B @ (B.T @ U)) < tol:
+            return best_g, best_B, True
+        B = U
+    return best_g, best_B, False
+
+
+def _subnorm_one_by_one(p, k, cfg, extra_starts):
+    """subspace_norm with every start run alone, by _hooi_one."""
+    T = dense_tensor(p)
+    U = np.linalg.svd(T.reshape(p.n, -1), full_matrices=False)[0]
+    starts = [_fix_column_signs_one(U[:, :k])] + [f.basis for f in extra_starts]
+    start_rng = np.random.default_rng(cfg.seed)
+    starts += [random_frame(p.n, k, start_rng).basis for _ in range(cfg.restarts)]
+    g, B, conv = zip(*(_hooi_one(T, b, cfg.max_iters, cfg.tol) for b in starts))
+    best = 0
+    for i in range(1, len(g)):
+        if g[i] > g[best] + sphere._TIE_TOL:
+            best = i
+    return (math.sqrt(max(g[best], 0.0)), B[best], conv[best],
+            tuple(math.sqrt(max(v, 0.0)) for v in g))
+
+
+def _hooi_cases(rng):
+    # max_iters low enough that some starts stop at the cap and others on
+    # the span test
+    cfg = OptimizerConfig(restarts=5, max_iters=40, seed=9)
+    for d in (2, 3, 4):
+        for n in range(4, 8):
+            p = bombieri_gaussian(n, d, rng)
+            for k in range(2, n):
+                yield p, k, cfg, (random_frame(n, k, rng),)
+
+
+@pytest.mark.parametrize("block_starts", [None, 1, 3])
+def test_subnorm_batch_matches_one_start_at_a_time(monkeypatch, rng, block_starts):
+    sizes = []
+    hooi = sphere._hooi
+
+    def spy(T, B0, max_iters, tol):
+        sizes.append(len(B0))
+        return hooi(T, B0, max_iters, tol)
+
+    monkeypatch.setattr(sphere, "_hooi", spy)
+    stops = set()
+    for p, k, cfg, extra in _hooi_cases(rng):
+        if block_starts is not None:
+            # the largest temporary of one start is W (n x n^(d-2) k) or M (n x n)
+            per_start = p.n * max(p.n ** (p.d - 2) * k, p.n)
+            monkeypatch.setattr(sphere, "_BLOCK_FLOATS", block_starts * per_start)
+        sizes.clear()
+        fm = subspace_norm(p, k, cfg, extra_starts=extra)
+        value, basis, converged, start_values = _subnorm_one_by_one(p, k, cfg, extra)
+        assert fm.value == value
+        assert np.array_equal(fm.frame.basis, basis)
+        assert fm.converged == converged
+        assert fm.start_values == start_values
+        n_starts = cfg.restarts + 2
+        assert max(sizes) == n_starts  # the outer call gets every start
+        if block_starts is not None:
+            assert sorted(sizes[1:]) == sorted(
+                min(block_starts, n_starts - lo) for lo in range(0, n_starts, block_starts))
+        stops.update(i < cfg.max_iters for i in fm.start_iterations)
+    assert stops == {True, False}
+
+
+def test_subnorm_start_iterations(rng):
+    cfg = OptimizerConfig(restarts=4, max_iters=30, seed=2)
+    p = bombieri_gaussian(5, 3, rng)
+    for k in (1, 2, 4):
+        extra = (random_frame(5, k, rng),)
+        fm = subspace_norm(p, k, cfg, extra_starts=extra)
+        assert len(fm.start_iterations) == len(fm.start_values)
+        assert all(0 <= i <= cfg.max_iters for i in fm.start_iterations)
+        if k == 1:
+            sm = operator_norm(p, cfg)
+            assert fm.start_iterations == sm.start_iterations + (0,)
+    # closed-form answers: zero form, k = n, linear form
+    for q, k in ((zero_poly(4, 3), 2), (p, 5), (bombieri_gaussian(4, 1, rng), 2)):
+        fm = subspace_norm(q, k, cfg)
+        assert fm.start_values == () and fm.start_iterations == ()
+
+
+_SUBNORM_MEMORY_PROBE = """
+import math, sys
+import numpy as np
+from polyrank import OptimizerConfig, subspace_norm
+from polyrank.generators import bombieri_gaussian
+p = bombieri_gaussian(40, 4, np.random.default_rng(5))
+fm = subspace_norm(p, 39, OptimizerConfig(restarts=32, max_iters=3))
+print(math.isfinite(fm.value) and fm.value > 0)
+"""
+
+
+def test_subnorm_memory_bounded_in_blocks():
+    # 33 starts at n = 40, d = 4, k = 39: one unblocked batch would hold
+    # temporaries of about 33 x 20 MB each, over 1 GB in all
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _SUBNORM_MEMORY_PROBE],
+                          capture_output=True, text=True, timeout=300,
+                          preexec_fn=cap_memory, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "True"
 
 
 # ------------------------------------------------------------------ ratio probe
