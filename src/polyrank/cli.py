@@ -83,8 +83,18 @@ def cmd_norm(args) -> int:
     return 0
 
 
+def _refuse_square(p, command: str) -> None:
+    """Refuse before any n x n array (eigh, Newton polish, start points) is built."""
+    if p.n * p.n > _BENCH_TERM_LIMIT:
+        raise CliError(f"{command} at n={p.n} would need n x n arrays of {p.n * p.n} "
+                       f"entries; refusing above {_BENCH_TERM_LIMIT}")
+
+
 def cmd_opnorm(args) -> int:
     p = _load_poly(args.input)
+    if args.oracle or p.d != 1:
+        # only the closed form for linear forms stays within O(n)
+        _refuse_square(p, "opnorm")
     if args.oracle:
         try:
             value = sphere.operator_norm_oracle(p)
@@ -109,10 +119,8 @@ def cmd_subnorm(args) -> int:
     p = _load_poly(args.input)
     if args.k is None:
         raise CliError("subnorm requires --k")
-    if 1 <= args.k <= p.n and p.n * args.k > _BENCH_TERM_LIMIT:
-        # the answer is an n x k frame, printed in full
-        raise CliError(f"subnorm at n={p.n}, k={args.k} would need a frame of "
-                       f"{p.n * args.k} entries; refusing above {_BENCH_TERM_LIMIT}")
+    # also bounds the n x k answer frame, printed in full, as k <= n
+    _refuse_square(p, "subnorm")
     if args.oracle:
         if p.d != 2:
             raise CliError("oracle unavailable: subspace-norm oracle needs degree 2")
@@ -290,7 +298,9 @@ def cmd_bench(args) -> int:
         bound = lowrank.step_bound(eps)
         for d in d_list:
             for n in n_list:
-                rng = np.random.default_rng((args.seed, d, n, int(eps * 1000)))
+                # every distinct eps draws its own forms: seed with its exact bits
+                eps_bits = int(np.float64(eps).view(np.uint64))
+                rng = np.random.default_rng((args.seed, d, n, eps_bits))
                 counts = []
                 ratios = []
                 violations = 0

@@ -1,24 +1,29 @@
 """Maximization of homogeneous forms over the unit sphere and over frames.
 
-The sphere maximizer is a shifted symmetric power iteration (SS-HOPM; Kolda
-& Mayo, SIAM J. Matrix Anal. Appl. 32(4), 2011) on p and on -p from seeded
-random starts plus all signed coordinate directions, all in one numpy batch
-from which each start leaves once its step falls below tol, followed by a
-local Newton polish of the winning point.  The form is compiled once per
-call: a small one is contracted against its dense symmetric tensor (one GEMM
-per iteration), a large sparse one through a gather over its monomials,
-chosen by comparing n**d with the gather size.  Linear forms c.x are
-answered in closed form at c/||c||.  Every reported value is the form
-evaluated at an explicit unit vector, hence a certified lower bound on the
-true maximum of |p|; nothing here certifies upper bounds.
+For d >= 3 the sphere maximizer is a shifted symmetric power iteration
+(SS-HOPM; Kolda & Mayo, SIAM J. Matrix Anal. Appl. 32(4), 2011) on p and on
+-p from seeded random starts plus all signed coordinate directions, all in
+one numpy batch from which each start leaves once its step falls below tol,
+followed by a local Newton polish of the winning point.  The form is
+compiled once per call: a small one is contracted against its dense
+symmetric tensor (one GEMM per iteration), a large sparse one through a
+gather over its monomials, chosen by comparing n**d with the gather size.
+The lower degrees are answered in closed form: a linear form c.x at
+c/||c||, a quadratic x^T A x at the eigenvector of A with the largest
+|eigenvalue|, Newton-polished.  Every reported value is the form evaluated
+at an explicit unit vector, hence a certified lower bound on the true
+maximum of |p|; nothing here certifies upper bounds.
 
-The frame maximizer raises ||restriction of p to a k-dim subspace||^2 over
-orthonormal n x k frames by shifted symmetric higher-order orthogonal
-iteration (HOOI), started from the top singular frame of the tensor
-unfolding, from any caller-supplied frames, and from seeded random frames,
-all in one numpy batch (in blocks bounded in floats) from which each start
-leaves once its span stops moving.  For k = 1 that norm is |p(u)|, so the
-sphere maximizer answers it.
+For d >= 3 the frame maximizer raises ||restriction of p to a k-dim
+subspace||^2 over orthonormal n x k frames by shifted symmetric
+higher-order orthogonal iteration (HOOI), started from the top singular
+frame of the tensor unfolding, from any caller-supplied frames, and from
+seeded random frames, all in one numpy batch (in blocks bounded in floats)
+from which each start leaves once its span stops moving.  For d = 2 the
+restriction to span(B) has norm ||B^T A B||_F, which the top-k eigenvectors
+of A by |eigenvalue| maximize (Ky Fan); that frame is scored against the
+caller-supplied ones.  For k = 1 the norm is |p(u)|, so the sphere maximizer
+answers it.
 """
 
 from __future__ import annotations
@@ -52,7 +57,9 @@ class OptimizerConfig:
     converged once a step moves its point (or frame span) by less than tol.
     shift applies to the sphere maximizer only: None means
     1 + bombieri_norm(p), which keeps the shifted power iteration monotone at
-    the cost of slower contraction.
+    the cost of slower contraction.  All of them apply at d >= 3 only: linear
+    and quadratic forms are answered in closed form, so no field changes
+    their result (restarts still sets the length of SphereMax.start_values).
     """
 
     restarts: int = 32
@@ -80,7 +87,9 @@ class SphereMax:
     ascents reached, and start_iterations the larger of their iteration
     counts.  iterations_used is the batch loop count, the largest entry of
     start_iterations.  converged describes the winning start only: its ascent
-    stopped on a step below tol rather than at max_iters.
+    stopped on a step below tol rather than at max_iters.  The closed forms
+    for d = 1 and d = 2 run no ascent: converged is True, iterations_used 0,
+    and each of the 2n + restarts starts records the value and 0 iterations.
     """
 
     value: float
@@ -97,7 +106,10 @@ class FrameMax:
 
     start_values holds, per start, the best value its iteration reached, and
     start_iterations the iterations it ran, in the same order; both are empty
-    for the closed-form answers.  converged describes the winning start only.
+    for the closed-form answers (zero form, k = n, d = 1).  converged
+    describes the winning start only.  At d = 2 with 1 < k < n no start
+    iterates: start_values holds the eigenvector frame's value followed by
+    each extra start's, start_iterations a 0 for each, and converged is True.
     """
 
     value: float
@@ -285,6 +297,27 @@ def _ascend(form: _Form, X0: np.ndarray, sign: np.ndarray, shift: float,
     return best_v, best_X, iters, conv
 
 
+def _first_best(values) -> int:
+    """Index of the best value, a later one winning only by more than
+    _TIE_TOL, so near-ties go to the lowest index whatever the rounding."""
+    best = 0
+    for i in range(1, len(values)):
+        if values[i] > values[best] + _TIE_TOL:
+            best = i
+    return best
+
+
+def _frobenius(M: np.ndarray) -> float:
+    """||M||_F (the 2-norm of a vector), summed on M scaled by a power of two
+    so that no square overflows or underflows; the scaling is exact, as in
+    bombieri_norm."""
+    big = float(np.max(np.abs(M)))
+    if big == 0.0:
+        return 0.0
+    e = math.frexp(big)[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(M, -e))), e)
+
+
 def _tangent_basis(x: np.ndarray) -> np.ndarray:
     q, _ = np.linalg.qr(x.reshape(-1, 1), mode="complete")
     return q[:, 1:]
@@ -304,7 +337,7 @@ def _polish(form: _Form, x: np.ndarray, rounds: int = 15) -> np.ndarray:
         g = sign * d * tx
         lam = float(x @ g)
         gt = g - lam * x
-        if np.linalg.norm(gt) <= 1e-15 * d * max(1.0, abs(fx)):
+        if _frobenius(gt) <= 1e-15 * d * max(1.0, abs(fx)):
             break
         Qt = _tangent_basis(x)
         Ht = Qt.T @ (sign * d * (d - 1) * form.txx(x) - lam * np.eye(n)) @ Qt
@@ -335,15 +368,21 @@ def operator_norm(p: HomPoly, cfg: OptimizerConfig | None = None) -> SphereMax:
 
     Both signs of p are chased from every start in one batch; ties across
     starts are broken by the lowest start index so results do not depend on
-    scheduling.  A linear form c.x is answered in closed form, at c/||c||.
+    scheduling.  A linear form c.x is answered in closed form, at c/||c||, a
+    quadratic at the polished eigenvector of its largest |eigenvalue|.
     """
     if p.is_zero:
         raise ValueError("operator-norm argmax is undefined for the zero polynomial")
     cfg = cfg or OptimizerConfig()
     n_starts = 2 * p.n + cfg.restarts
-    if p.d == 1:
-        c = dense_tensor(p)
-        x = c / np.linalg.norm(c)
+    if p.d <= 2:
+        if p.d == 1:
+            c = dense_tensor(p)
+            x = c / np.linalg.norm(c)
+        else:
+            lams, V = np.linalg.eigh(quadratic_matrix(p))
+            x = _polish(_Form(p), V[:, np.argmax(np.abs(lams))])
+            x = x / np.linalg.norm(x)
         value = abs(evaluate(p, x))
         return SphereMax(value=value, argmax=x, converged=True, iterations_used=0,
                          start_values=(value,) * n_starts,
@@ -357,12 +396,7 @@ def operator_norm(p: HomPoly, cfg: OptimizerConfig | None = None) -> SphereMax:
                                    cfg.max_iters, cfg.tol)
     vp, vm = vals[:n_starts], vals[n_starts:]
     per_start = np.maximum(vp, vm)
-    best_i = 0
-    best_v = -math.inf
-    for i, v in enumerate(per_start):
-        if v > best_v + _TIE_TOL:
-            best_v = float(v)
-            best_i = i
+    best_i = _first_best(per_start)
     win = best_i + n_starts if vm[best_i] > vp[best_i] else best_i
     x = _polish(form, X[win])
     x = x / np.linalg.norm(x)
@@ -511,10 +545,11 @@ def subspace_norm(p: HomPoly, k: int, cfg: OptimizerConfig | None = None,
     """Best lower bound on the largest Bombieri norm of p projected to a
     k-dimensional subspace.
 
-    Exact for k = n and for linear forms.  Deterministic for a fixed seed;
-    the result is always at least as good as each of the extra_starts frames.
-    For k = 1 the projected norm at a unit u is |p(u)|, so the sphere
-    maximizer answers it.
+    Exact for k = n and for linear forms, and up to rounding for quadratics.
+    Deterministic for a fixed seed; the result is always at least as good as
+    each of the extra_starts frames, up to the _TIE_TOL near-tie rule.  For
+    k = 1 the projected norm at a unit u is |p(u)|, so the sphere maximizer
+    answers it.
     """
     cfg = cfg or OptimizerConfig()
     if not 1 <= k <= p.n:
@@ -541,6 +576,16 @@ def subspace_norm(p: HomPoly, k: int, cfg: OptimizerConfig | None = None,
         return FrameMax(value, Frame(p.n, 1, u.reshape(-1, 1)), sm.converged,
                         sm.start_values + tuple(extra),
                         sm.start_iterations + (0,) * len(extra))
+    if p.d == 2:
+        # Ky Fan: the top-k eigenvectors by |eigenvalue| maximize ||B^T A B||_F
+        A = quadratic_matrix(p)
+        lams, V = np.linalg.eigh(A)
+        top = np.argsort(-np.abs(lams), kind="stable")[:k]
+        frames = [_fix_column_signs(V[:, top])] + [f.basis for f in extra_starts]
+        values = tuple(_frobenius(B.T @ A @ B) for B in frames)
+        best = _first_best(values)
+        return FrameMax(values[best], Frame(p.n, k, frames[best]), True, values,
+                        (0,) * len(values))
     T = dense_tensor(p)
     U = np.linalg.svd(T.reshape(p.n, -1), full_matrices=False)[0]
     starts = [_fix_column_signs(U[:, :k])]
@@ -548,10 +593,7 @@ def subspace_norm(p: HomPoly, k: int, cfg: OptimizerConfig | None = None,
     rng = np.random.default_rng(cfg.seed)
     starts += [random_frame(p.n, k, rng).basis for _ in range(cfg.restarts)]
     g, B, iters, conv = _hooi(T, np.stack(starts), cfg.max_iters, cfg.tol)
-    best = 0
-    for i in range(1, len(g)):
-        if g[i] > g[best] + _TIE_TOL:
-            best = i
+    best = _first_best(g)
     return FrameMax(
         value=math.sqrt(max(g[best], 0.0)),
         frame=Frame(p.n, k, B[best]),

@@ -10,10 +10,11 @@ import io
 import json
 import sys
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyrank import HomPoly, bombieri_norm, max_coeff_norm
+from polyrank import HomPoly, bombieri_norm, max_coeff_norm, operator_norm, subspace_norm
 from polyrank.cli import main
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -53,18 +54,22 @@ def _well_shaped(draw):
     return {"n": n, "d": d, "terms": [{"alpha": a, "c": draw(c)} for a in alphas]}
 
 
-def _run_norm(text):
-    """cli.main on one document: inline when it is an object, else on stdin."""
+def _run_cli(argv, stdin_text=""):
+    """cli.main on argv with stdin_text as stdin: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
-    argv = ["norm", text] if text.lstrip().startswith("{") else ["norm", "-"]
     stdin = sys.stdin
-    sys.stdin = io.StringIO(text)
+    sys.stdin = io.StringIO(stdin_text)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     finally:
         sys.stdin = stdin
     return code, out.getvalue(), err.getvalue()
+
+
+def _run_norm(text):
+    """cli.main on one document: inline when it is an object, else on stdin."""
+    return _run_cli(["norm", text] if text.lstrip().startswith("{") else ["norm", "-"], text)
 
 
 @PROPERTY
@@ -105,3 +110,37 @@ def test_norms_scale_exactly_by_powers_of_two(p, k):
     q = s * p
     assert bombieri_norm(q) == s * bombieri_norm(p)
     assert max_coeff_norm(q) == s * max_coeff_norm(p)
+
+
+# magnitudes whose products with 2**k, |k| <= 600, stay normal doubles
+_wide_coeff = st.floats(2.0 ** -300, 2.0 ** 300) | st.floats(-(2.0 ** 300), -(2.0 ** -300))
+
+
+@st.composite
+def _quadratics(draw):
+    n = draw(st.integers(1, 4))
+    alphas = _exponents(n, 2).map(tuple)
+    return HomPoly(n, 2, draw(st.dictionaries(alphas, _wide_coeff, min_size=1, max_size=8)))
+
+
+@PROPERTY
+@given(_quadratics(), st.integers(-600, 600), st.integers(1, 4))
+def test_degree2_maxima_scale_by_powers_of_two(p, k, j):
+    s = 2.0 ** k
+    q = s * p
+    j = min(j, p.n)
+    assert operator_norm(q).value == pytest.approx(s * operator_norm(p).value, rel=1e-14)
+    assert subspace_norm(q, j).value == pytest.approx(s * subspace_norm(p, j).value,
+                                                     rel=1e-14)
+
+
+def test_tiny_quadratic_is_maximized_at_its_own_scale():
+    # 1e-200 (x1^2 + x1 x2): the maximum is (1 + sqrt 2) / 2 * 1e-200
+    doc = ('{"n": 2, "d": 2, "terms": [{"alpha": [2, 0], "c": 1e-200},'
+           ' {"alpha": [1, 1], "c": 1e-200}]}')
+    code, out, _ = _run_cli(["opnorm", doc, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx((1 + 2 ** 0.5) / 2 * 1e-200, rel=1e-14)
+    code, out, _ = _run_cli(["approx", doc, "--eps", "0.5", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["residual_opnorm_est"][-1] > 0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from polyrank import OptimizerConfig, bombieri_norm, concentrate, greedy_approximate
+from polyrank import generators
 from polyrank.cli import main
 from polyrank.generators import bombieri_gaussian
 from polyrank.lowrank import hard_family
@@ -309,6 +310,40 @@ def test_cli_subnorm_size_guard(k):
     assert "refusing" in proc.stderr
 
 
+_BIG_ZERO = '{"n": 100000, "d": 2, "terms": []}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["opnorm", "{big}"],
+    ["opnorm", "{big}", "--oracle"],
+    ["opnorm", _BIG_ZERO, "--oracle"],
+    ["subnorm", "{big}", "--k", "1"],
+    ["subnorm", "{big}", "--k", "2", "--oracle"],
+    ["subnorm", _BIG_ZERO, "--k", "1", "--oracle"],
+])
+def test_cli_n_squared_guard(tmp_path, argv):
+    # n = 1e5: an n x n array (eigh, start points, the oracles' matrix) would
+    # take 74.5 GiB; the one-term form goes in a file, as it exceeds an argv entry
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"n": 100000, "d": 2,
+                               "terms": [{"alpha": [1, 1] + [0] * 99998, "c": 1.0}]}))
+    proc = _run_cli_capped([str(big) if a == "{big}" else a for a in argv])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "refusing" in proc.stderr
+
+
+def test_cli_opnorm_linear_form_needs_no_square_guard(tmp_path):
+    # the closed form for c.x holds only length-n vectors
+    big = tmp_path / "linear.json"
+    big.write_text(json.dumps({"n": 100000, "d": 1,
+                               "terms": [{"alpha": [0, 1] + [0] * 99998, "c": -2.5}]}))
+    proc = _run_cli_capped(["opnorm", str(big), "--restarts", "1"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "opnorm 2.5"
+
+
 def test_cli_parse_error_exit_code(capsys):
     code, _, err = run_cli(["norm", '{"n":2,"d":2,"terms":[{"alpha":[1,0],"c":1.0}]}'],
                            capsys)
@@ -332,6 +367,23 @@ def test_cli_bench_small(capsys):
     assert cells[(0.5, 2, 4)]["violations"] == 0
     assert cells[(0.5, 2, 4)]["max_terms"] <= 4
     assert cells[(1.0, 2, 4)]["max_terms"] == 0
+
+
+def test_cli_bench_nearby_eps_draw_different_forms(monkeypatch, capsys):
+    # eps values that agree to three decimals must still seed apart
+    drawn = []
+    real = generators.bombieri_gaussian
+
+    def spy(n, d, rng):
+        p = real(n, d, rng)
+        drawn.append(dict(p.terms))
+        return p
+
+    monkeypatch.setattr(generators, "bombieri_gaussian", spy)
+    code, _, _ = run_cli(["bench", "--eps-list", "0.5,0.5004", "--d-list", "2",
+                          "--n-list", "3", "--samples", "1", "--restarts", "2"], capsys)
+    assert code == 0
+    assert len(drawn) == 2 and drawn[0] != drawn[1]
 
 
 def test_cli_bench_resource_guard(capsys):

@@ -127,12 +127,56 @@ def test_opnorm_kernels_agree(monkeypatch, rng):
         assert values[1] == pytest.approx(values[0], rel=1e-12)
 
 
+def _ascent_engine(p, cfg):
+    """max |p| by the SS-HOPM ascent and Newton polish that operator_norm runs
+    at d >= 3, from the same starts and shift."""
+    n_starts = 2 * p.n + cfg.restarts
+    starts = sphere._start_points(p.n, cfg.restarts, np.random.default_rng(cfg.seed))
+    form = sphere._Form(p)
+    vals, X, _, _ = sphere._ascend(form, np.vstack([starts, starts]),
+                                   np.repeat([1.0, -1.0], n_starts),
+                                   1.0 + bombieri_norm(p), cfg.max_iters, cfg.tol)
+    x = sphere._polish(form, X[int(np.argmax(vals))])
+    return abs(evaluate(p, x / np.linalg.norm(x)))
+
+
+def _hooi_engine(p, k, cfg):
+    """max ||p restricted to a k-frame|| by the HOOI that subspace_norm runs
+    at d >= 3, from the top singular frame and seeded random frames."""
+    T, starts = _hooi_starts(p, k, cfg, ())
+    g = sphere._hooi(T, np.stack(starts), cfg.max_iters, cfg.tol)[0]
+    return math.sqrt(max(np.max(g), 0.0))
+
+
+def test_iterative_engines_on_degree2_vs_eigen_oracle():
+    # operator_norm and subspace_norm answer d = 2 by eigh, so the engines
+    # they run at d >= 3 are held to the eigenvalue oracle here, with the
+    # forms, config and tolerances of acceptance criterion 2
+    cfg = OptimizerConfig(restarts=16, seed=202)
+    rng = np.random.default_rng(20)
+    worst_op = worst_sub = 0.0
+    for i in range(100):
+        n = 2 + i % 7
+        A = rng.standard_normal((n, n))
+        p = quadratic_poly((A + A.T) / 2)
+        lams = np.linalg.eigvalsh(quadratic_matrix(p))
+        op_true = float(np.max(np.abs(lams)))
+        worst_op = max(worst_op, abs(_ascent_engine(p, cfg) - op_true) / op_true)
+        k = 2 + i % max(n - 2, 1)
+        if k < n:
+            sub_true = math.sqrt(np.sort(lams ** 2)[::-1][:k].sum())
+            worst_sub = max(worst_sub, abs(_hooi_engine(p, k, cfg) - sub_true) / sub_true)
+    assert worst_op <= 1e-6
+    assert worst_sub <= 1e-5
+
+
 def test_opnorm_d2_n12_chain_config_vs_eigen_oracle(rng):
-    # the iterative path at a size criterion 2 does not reach
+    # the ascent engine at a size criterion 2 does not reach
     cfg = OptimizerConfig(restarts=6, max_iters=150, tol=1e-9)
     for _ in range(5):
         p = bombieri_gaussian(12, 2, rng)
         true = operator_norm_oracle(p)
+        assert abs(_ascent_engine(p, cfg) - true) <= 1e-6 * true
         assert abs(operator_norm(p, cfg).value - true) <= 1e-6 * true
 
 
@@ -361,13 +405,19 @@ def _hooi_one(T, B, max_iters, tol):
     return best_g, best_B, False
 
 
-def _subnorm_one_by_one(p, k, cfg, extra_starts):
-    """subspace_norm with every start run alone, by _hooi_one."""
+def _hooi_starts(p, k, cfg, extra_starts):
+    """The dense tensor and the start frames of subspace_norm's HOOI path."""
     T = dense_tensor(p)
     U = np.linalg.svd(T.reshape(p.n, -1), full_matrices=False)[0]
     starts = [_fix_column_signs_one(U[:, :k])] + [f.basis for f in extra_starts]
     start_rng = np.random.default_rng(cfg.seed)
     starts += [random_frame(p.n, k, start_rng).basis for _ in range(cfg.restarts)]
+    return T, starts
+
+
+def _subnorm_one_by_one(p, k, cfg, extra_starts):
+    """subspace_norm's HOOI path with every start run alone, by _hooi_one."""
+    T, starts = _hooi_starts(p, k, cfg, extra_starts)
     g, B, conv = zip(*(_hooi_one(T, b, cfg.max_iters, cfg.tol) for b in starts))
     best = 0
     for i in range(1, len(g)):
@@ -375,6 +425,21 @@ def _subnorm_one_by_one(p, k, cfg, extra_starts):
             best = i
     return (math.sqrt(max(g[best], 0.0)), B[best], conv[best],
             tuple(math.sqrt(max(v, 0.0)) for v in g))
+
+
+def _subnorm_batch(p, k, cfg, extra_starts):
+    """subspace_norm, or at d = 2, which it answers by eigh, the batch _hooi
+    called directly on the same starts: value, basis, converged,
+    start_values and start_iterations."""
+    if p.d != 2:
+        fm = subspace_norm(p, k, cfg, extra_starts=extra_starts)
+        return (fm.value, fm.frame.basis, fm.converged, fm.start_values,
+                fm.start_iterations)
+    T, starts = _hooi_starts(p, k, cfg, extra_starts)
+    g, B, iters, conv = sphere._hooi(T, np.stack(starts), cfg.max_iters, cfg.tol)
+    best = sphere._first_best(g)
+    return (math.sqrt(max(g[best], 0.0)), B[best], bool(conv[best]),
+            tuple(math.sqrt(max(v, 0.0)) for v in g), tuple(int(i) for i in iters))
 
 
 def _hooi_cases(rng):
@@ -405,18 +470,19 @@ def test_subnorm_batch_matches_one_start_at_a_time(monkeypatch, rng, block_start
             per_start = p.n * max(p.n ** (p.d - 2) * k, p.n)
             monkeypatch.setattr(sphere, "_BLOCK_FLOATS", block_starts * per_start)
         sizes.clear()
-        fm = subspace_norm(p, k, cfg, extra_starts=extra)
+        got_value, got_basis, got_converged, got_values, got_iters = _subnorm_batch(
+            p, k, cfg, extra)
         value, basis, converged, start_values = _subnorm_one_by_one(p, k, cfg, extra)
-        assert fm.value == value
-        assert np.array_equal(fm.frame.basis, basis)
-        assert fm.converged == converged
-        assert fm.start_values == start_values
+        assert got_value == value
+        assert np.array_equal(got_basis, basis)
+        assert got_converged == converged
+        assert got_values == start_values
         n_starts = cfg.restarts + 2
         assert max(sizes) == n_starts  # the outer call gets every start
         if block_starts is not None:
             assert sorted(sizes[1:]) == sorted(
                 min(block_starts, n_starts - lo) for lo in range(0, n_starts, block_starts))
-        stops.update(i < cfg.max_iters for i in fm.start_iterations)
+        stops.update(i < cfg.max_iters for i in got_iters)
     assert stops == {True, False}
 
 
