@@ -90,6 +90,19 @@ def _refuse_square(p, command: str) -> None:
                        f"entries; refusing above {_BENCH_TERM_LIMIT}")
 
 
+def _engine(p, k: int | None = None) -> str:
+    """Name of the engine sphere.operator_norm (k None) or sphere.subspace_norm
+    runs on p, following their dispatch: a closed form for linear forms and,
+    in subspace_norm, for the zero form and k = n; eigh for quadratics; for
+    d >= 3 the power-iteration ascent, which subspace_norm also runs at k = 1,
+    or HOOI."""
+    if p.d == 1 or (k is not None and (p.is_zero or k == p.n)):
+        return "closed-form"
+    if p.d == 2:
+        return "eigh"
+    return "power" if k in (None, 1) else "hooi"
+
+
 def cmd_opnorm(args) -> int:
     p = _load_poly(args.input)
     if args.oracle or p.d != 1:
@@ -108,7 +121,7 @@ def cmd_opnorm(args) -> int:
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         payload = serialize.sphere_max_to_dict(sm)
-        payload["method"] = "power"
+        payload["method"] = _engine(p)
         lines = [f"opnorm {_sig12(sm.value)}",
                  f"converged {str(sm.converged).lower()} iterations {sm.iterations_used}"]
     _emit(args, payload, lines)
@@ -137,7 +150,7 @@ def cmd_subnorm(args) -> int:
             raise CliError(str(exc)) from exc
         payload = serialize.frame_max_to_dict(fm)
         payload["k"] = args.k
-        payload["method"] = "hooi"
+        payload["method"] = _engine(p, args.k)
         lines = [f"subnorm {_sig12(fm.value)}",
                  f"converged {str(fm.converged).lower()}"]
     _emit(args, payload, lines)

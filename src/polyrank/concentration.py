@@ -69,7 +69,7 @@ def alpha_decompose(p: HomPoly, k: int) -> AlphaDecomposition:
         if w == 0:
             parts[head] = tails[(0,) * (p.n - k)]
         else:
-            parts[head] = HomPoly(p.n - k, w, tails)
+            parts[head] = HomPoly._trusted(p.n - k, w, tails)
     return AlphaDecomposition(k=k, n=p.n, d=p.d, parts=parts)
 
 

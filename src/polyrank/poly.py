@@ -104,6 +104,18 @@ class HomPoly:
                 clean[alpha] = c
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
+    @classmethod
+    def _trusted(cls, n: int, d: int, terms: dict) -> "HomPoly":
+        """A HomPoly from exponents already known valid: int tuples of length n
+        and weight d, as the library's own arithmetic produces, with float
+        coefficients.  Only zero coefficients are dropped; outside input goes
+        through the validating constructor."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "d", d)
+        object.__setattr__(p, "terms", MappingProxyType({a: c for a, c in terms.items() if c != 0.0}))
+        return p
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -120,21 +132,21 @@ class HomPoly:
         out = dict(self.terms)
         for alpha, c in other.terms.items():
             out[alpha] = out.get(alpha, 0.0) + c
-        return HomPoly(self.n, self.d, out)
+        return HomPoly._trusted(self.n, self.d, out)
 
     def __sub__(self, other: "HomPoly") -> "HomPoly":
         self._check_compatible(other)
         out = dict(self.terms)
         for alpha, c in other.terms.items():
             out[alpha] = out.get(alpha, 0.0) - c
-        return HomPoly(self.n, self.d, out)
+        return HomPoly._trusted(self.n, self.d, out)
 
     def __neg__(self) -> "HomPoly":
-        return HomPoly(self.n, self.d, {a: -c for a, c in self.terms.items()})
+        return HomPoly._trusted(self.n, self.d, {a: -c for a, c in self.terms.items()})
 
     def __mul__(self, scalar) -> "HomPoly":
         s = float(scalar)
-        return HomPoly(self.n, self.d, {a: s * c for a, c in self.terms.items()})
+        return HomPoly._trusted(self.n, self.d, {a: s * c for a, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -258,8 +270,8 @@ def pow_linear(u, d: int) -> HomPoly:
         for i in support:
             if alpha[i]:
                 coeff *= u[i] ** alpha[i]
-        terms[tuple(alpha)] = coeff
-    return HomPoly(n, d, terms)
+        terms[tuple(alpha)] = float(coeff)
+    return HomPoly._trusted(n, d, terms)
 
 
 def restrict_zero(p: HomPoly, keep) -> HomPoly:
@@ -272,67 +284,77 @@ def restrict_zero(p: HomPoly, keep) -> HomPoly:
         for alpha, c in p.terms.items()
         if all(a == 0 or i in keep for i, a in enumerate(alpha))
     }
-    return HomPoly(p.n, p.d, terms)
+    return HomPoly._trusted(p.n, p.d, terms)
 
 
-def _ascending_indices(alpha) -> tuple:
-    out = []
-    for i, a in enumerate(alpha):
-        out.extend([i] * a)
-    return tuple(out)
+def _sorted_flat_index(n: int, d: int, combos: np.ndarray) -> np.ndarray:
+    """Flat index, in an n**d tensor, of each row of ascending variable indices."""
+    return combos @ (n ** np.arange(d - 1, -1, -1, dtype=np.int64))
 
 
 def dense_tensor(p: HomPoly) -> np.ndarray:
     """The symmetric d-tensor T with p(x) = sum T[i1..id] x_i1 ... x_id.
 
-    Its Frobenius norm equals the Bombieri norm of p.
+    Its Frobenius norm equals the Bombieri norm of p.  The tensor is built
+    once per HomPoly and returned read-only on every later call.
     """
-    size = p.n ** p.d
+    cached = p.__dict__.get("_dense")
+    if cached is not None:
+        return cached
+    n, d = p.n, p.d
+    size = n ** d
     if size > _DENSE_LIMIT:
         raise ValueError(f"dense tensor would need {size} entries (limit {_DENSE_LIMIT})")
-    shape = (p.n,) * p.d
-    T = np.zeros(shape)
-    if not p.terms:
-        return T
-    pows = p.n ** np.arange(p.d - 1, -1, -1, dtype=np.int64)
-    keys = []
-    vals = []
-    for alpha, c in sorted(p.terms.items()):
-        idx = np.array(_ascending_indices(alpha), dtype=np.int64)
-        keys.append(int(idx @ pows))
-        vals.append(c / _multinomial_cached(p.d, alpha))
-    keys = np.array(keys, dtype=np.int64)
-    vals = np.array(vals)
-    order = np.argsort(keys)
-    keys, vals = keys[order], vals[order]
-    flat = T.reshape(-1)
-    chunk = 1 << 20
-    for start in range(0, size, chunk):
-        cells = np.arange(start, min(start + chunk, size), dtype=np.int64)
-        idx = np.stack(np.unravel_index(cells, shape), axis=1)
-        idx.sort(axis=1)
-        cell_keys = idx @ pows
-        pos = np.searchsorted(keys, cell_keys)
-        pos = np.minimum(pos, len(keys) - 1)
-        hit = keys[pos] == cell_keys
-        flat[cells[hit]] = vals[pos[hit]]
+    T = np.zeros(size)
+    if p.terms:
+        # each monomial's value goes to its ascending index tuple ...
+        A = np.array(list(p.terms), dtype=np.int64).reshape(len(p.terms), n)
+        combos = np.repeat(np.tile(np.arange(n), len(A)), A.ravel()).reshape(len(A), d)
+        T[_sorted_flat_index(n, d, combos)] = [
+            c / _multinomial_cached(d, alpha) for alpha, c in p.terms.items()]
+    T = T.reshape((n,) * d)
+    # ... and on to every permutation of that tuple: a bubble-sort network of
+    # compare-swaps maps each index tuple to its ascending one, so running it
+    # backwards, each cell whose pair (a, b) is out of order reads the cell with
+    # a and b swapped, carries every value to the permutations of its tuple
+    idx = np.arange(n)
+    for a, b in reversed([(j, j + 1) for i in range(d - 1, 0, -1) for j in range(i)]):
+        ordered = idx.reshape((n,) + (1,) * (d - 1 - a)) <= idx.reshape((n,) + (1,) * (d - 1 - b))
+        T = np.where(ordered, T, T.swapaxes(a, b))
+    T.setflags(write=False)
+    object.__setattr__(p, "_dense", T)
     return T
+
+
+@lru_cache(maxsize=32)
+def _exponent_table(n: int, d: int):
+    """The degree-d monomials in n variables in iter_exponents order: their
+    ascending index tuples, the flat index of that tuple in an n**d tensor,
+    and their multinomial coefficients as floats."""
+    combos = np.array(list(combinations_with_replacement(range(n), d)),
+                      dtype=np.int64).reshape(-1, d)
+    # d! / prod(alpha_i!): the product of each entry's 1-based rank within its
+    # run of equal entries is prod(alpha_i!), exact in int64 as d <= 20
+    rank = np.ones_like(combos)
+    for k in range(1, d):
+        rank[:, k] = np.where(combos[:, k] == combos[:, k - 1], rank[:, k - 1] + 1, 1)
+    mult = (math.factorial(d) // np.prod(rank, axis=1)).astype(float)
+    return combos, _sorted_flat_index(n, d, combos), mult
 
 
 def poly_from_dense(T: np.ndarray, prune_tol: float = 0.0) -> HomPoly:
     """Sparse canonical form of a symmetric dense tensor."""
     n = T.shape[0]
     d = T.ndim
-    terms = {}
-    for combo in combinations_with_replacement(range(n), d):
-        alpha = [0] * n
-        for i in combo:
-            alpha[i] += 1
-        alpha = tuple(alpha)
-        c = float(T[combo]) * _multinomial_cached(d, alpha)
-        if abs(c) > prune_tol:
-            terms[alpha] = c
-    return HomPoly(n, d, terms)
+    if n < 1 or d > MAX_DEGREE:
+        raise ValueError(f"tensor of shape {T.shape} needs at least one variable "
+                         f"and at most {MAX_DEGREE} modes")
+    combos, flat, mult = _exponent_table(n, d)
+    coef = np.ravel(T)[flat] * mult
+    keep = np.flatnonzero(np.abs(coef) > prune_tol)
+    alphas = np.zeros((len(keep), n), dtype=np.int8)
+    np.add.at(alphas, (np.arange(len(keep))[:, None], combos[keep]), 1)
+    return HomPoly._trusted(n, d, dict(zip(map(tuple, alphas.tolist()), coef[keep].tolist())))
 
 
 def _mul_terms(a: dict, b: dict) -> dict:

@@ -363,3 +363,96 @@ def test_dense_tensor_frobenius_is_bombieri(rng):
 def test_iter_exponents_counts():
     assert len(list(iter_exponents(4, 3))) == math.comb(6, 3)
     assert all(sum(a) == 3 and len(a) == 4 for a in iter_exponents(4, 3))
+
+
+def _searchsorted_fill(p):
+    """The chunked fill dense_tensor used before it scattered each monomial to
+    the permutations of its index tuple: every cell looks up the monomial of
+    its sorted index tuple."""
+    size, shape = p.n ** p.d, (p.n,) * p.d
+    T = np.zeros(shape)
+    if not p.terms:
+        return T
+    pows = p.n ** np.arange(p.d - 1, -1, -1, dtype=np.int64)
+    keys, vals = [], []
+    for alpha, c in sorted(p.terms.items()):
+        idx = np.array([i for i, a in enumerate(alpha) for _ in range(a)], dtype=np.int64)
+        keys.append(int(idx @ pows))
+        vals.append(c / multinomial(p.d, alpha))
+    keys, vals = np.array(keys, dtype=np.int64), np.array(vals)
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    flat = T.reshape(-1)
+    cells = np.arange(size, dtype=np.int64)
+    idx = np.stack(np.unravel_index(cells, shape), axis=1)
+    idx.sort(axis=1)
+    cell_keys = idx @ pows
+    pos = np.minimum(np.searchsorted(keys, cell_keys), len(keys) - 1)
+    hit = keys[pos] == cell_keys
+    flat[cells[hit]] = vals[pos[hit]]
+    return T
+
+
+def _loop_from_dense(T, prune_tol=0.0):
+    """poly_from_dense as the loop over index combinations it used to be."""
+    from itertools import combinations_with_replacement
+
+    n, d = T.shape[0], T.ndim
+    terms = {}
+    for combo in combinations_with_replacement(range(n), d):
+        alpha = tuple(combo.count(i) for i in range(n))
+        c = float(T[combo]) * multinomial(d, alpha)
+        if abs(c) > prune_tol:
+            terms[alpha] = c
+    return terms
+
+
+def test_dense_tensor_scatter_matches_searchsorted_fill(rng):
+    for d in range(1, 6):
+        for n in range(1, 7):
+            forms = [bombieri_gaussian(n, d, rng), sparse_gaussian(n, d, max(1, n // 2), rng),
+                     zero_poly(n, d), poly_of(n, d, {(d,) + (0,) * (n - 1): -2.5e-320})]
+            for p in forms:
+                T = dense_tensor(p)
+                want = _searchsorted_fill(p)
+                assert T.shape == want.shape
+                assert np.array_equal(T.view(np.uint64), want.view(np.uint64)), (n, d)
+                for tol in (0.0, 0.5 * max_coeff_norm(p)):
+                    got = poly_from_dense(T, tol)
+                    assert list(got.terms.items()) == list(_loop_from_dense(want, tol).items())
+
+
+def test_dense_tensor_is_cached_read_only(rng):
+    p = bombieri_gaussian(4, 3, rng)
+    T = dense_tensor(p)
+    assert dense_tensor(p) is T
+    assert not T.flags.writeable
+    with pytest.raises(ValueError):
+        T[0, 0, 0] = 1.0
+    # the cache is not part of the value: equal forms stay equal
+    assert p == HomPoly(4, 3, dict(p.terms))
+    assert zero_poly(3, 2) == zero_poly(3, 2) and dense_tensor(zero_poly(3, 2)).sum() == 0.0
+
+
+def test_internal_results_equal_the_validating_constructor(rng):
+    from polyrank.concentration import alpha_decompose
+
+    for n, d in ((1, 1), (3, 2), (4, 3), (5, 4)):
+        p, q = bombieri_gaussian(n, d, rng), sparse_gaussian(n, d, n, rng)
+        u = rng.standard_normal(n)
+        u[0] = 1e-200  # its powers underflow to zero coefficients, which are dropped
+        results = [p + q, p - q, p - p, -p, 2.5 * p, p * 0.0, pow_linear(u, d),
+                   restrict_zero(p, range(0, n, 2)), poly_from_dense(dense_tensor(p), 0.1),
+                   apply_orthogonal(p, random_orthogonal(n, rng))]
+        if n > 1:
+            results += [part for part in alpha_decompose(p, 1).parts.values()
+                        if isinstance(part, HomPoly)]
+        for r in results:
+            assert r == HomPoly(r.n, r.d, dict(r.terms))
+            for alpha, c in r.terms.items():
+                assert type(c) is float and c != 0.0
+                assert type(alpha) is tuple and all(type(a) is int for a in alpha)
+    # a tensor the validating constructor would refuse is still refused
+    for T in (np.zeros((0, 0)), np.zeros((1,) * 21)):
+        with pytest.raises(ValueError):
+            poly_from_dense(T)

@@ -78,6 +78,32 @@ def test_poly_parse_errors_carry_term_index():
     assert poly_from_dict(base).n == 4
 
 
+@pytest.mark.parametrize("obj", [
+    [], "x", {"d": 2, "terms": []}, {"n": 2, "terms": []}, {"n": 2, "d": 2},
+    {"n": 2.0, "d": 2, "terms": []}, {"n": True, "d": 1, "terms": []},
+    {"n": 2, "d": False, "terms": []}, {"n": 0, "d": 2, "terms": []},
+    {"n": 2, "d": 0, "terms": []}, {"n": 2, "d": 21, "terms": []},
+    {"n": 2, "d": 2, "terms": {}}, {"n": 2, "d": 2, "terms": [[2, 0]]},
+    {"n": 2, "d": 2, "terms": [{"alpha": [2, 0]}]},
+    {"n": 2, "d": 2, "terms": [{"c": 1.0}]},
+    {"n": 2, "d": 2, "terms": [{"alpha": [2], "c": 1.0}]},
+    {"n": 2, "d": 2, "terms": [{"alpha": [3, -1], "c": 1.0}]},
+    {"n": 2, "d": 2, "terms": [{"alpha": [1.0, 1], "c": 1.0}]},
+    {"n": 2, "d": 2, "terms": [{"alpha": [True, 1], "c": 1.0}]},
+    {"n": 2, "d": 2, "terms": [{"alpha": [1, 0], "c": 1.0}]},
+    {"n": 2, "d": 2, "terms": [{"alpha": [1, 1], "c": 1.0}, {"alpha": [1, 1], "c": 2.0}]},
+    {"n": 2, "d": 2, "terms": [{"alpha": [1, 1], "c": "1"}]},
+    {"n": 2, "d": 2, "terms": [{"alpha": [1, 1], "c": True}]},
+    {"n": 2, "d": 2, "terms": [{"alpha": [1, 1], "c": 0.0}]},
+    {"n": 2, "d": 2, "terms": [{"alpha": [1, 1], "c": float("nan")}]},
+    {"n": 2, "d": 2, "terms": [{"alpha": [1, 1], "c": float("inf")}]},
+    {"n": 2, "d": 2, "terms": [{"alpha": [1, 1], "c": 10 ** 400}]},
+])
+def test_poly_from_dict_rejects_bad_input(obj):
+    with pytest.raises(ValueError):
+        poly_from_dict(obj)
+
+
 def test_approx_json_roundtrip(rng):
     p = bombieri_gaussian(4, 3, rng)
     a = greedy_approximate(p, 0.4, OptimizerConfig(restarts=6, seed=2))
@@ -153,6 +179,31 @@ def test_cli_subnorm_linear_form(capsys):
     code, out, _ = run_cli(["subnorm", poly, "--k", "2", "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(5.0, rel=1e-12)
+
+
+_LINEAR = '{"n":3,"d":1,"terms":[{"alpha":[1,0,0],"c":3.0},{"alpha":[0,0,1],"c":-4.0}]}'
+_CUBIC = ('{"n":3,"d":3,"terms":[{"alpha":[3,0,0],"c":1.0},{"alpha":[1,1,1],"c":-2.0},'
+          '{"alpha":[0,1,2],"c":0.5}]}')
+
+
+@pytest.mark.parametrize("argv, method", [
+    (["opnorm", _LINEAR], "closed-form"),
+    (["opnorm", SUM4], "eigh"),
+    (["opnorm", _CUBIC], "power"),
+    (["subnorm", '{"n":3,"d":2,"terms":[]}', "--k", "2"], "closed-form"),
+    (["subnorm", SUM4, "--k", "4"], "closed-form"),
+    (["subnorm", _LINEAR, "--k", "2"], "closed-form"),
+    (["subnorm", _LINEAR, "--k", "1"], "closed-form"),
+    (["subnorm", SUM4, "--k", "2"], "eigh"),
+    (["subnorm", SUM4, "--k", "1"], "eigh"),
+    (["subnorm", _CUBIC, "--k", "1"], "power"),
+    (["subnorm", _CUBIC, "--k", "2"], "hooi"),
+    (["subnorm", _CUBIC, "--k", "3"], "closed-form"),
+])
+def test_cli_method_names_the_engine_that_ran(capsys, argv, method):
+    code, out, _ = run_cli(argv + ["--format", "json", "--restarts", "4"], capsys)
+    assert code == 0
+    assert json.loads(out)["method"] == method
 
 
 def test_cli_approx_rank1(capsys):

@@ -180,6 +180,85 @@ def test_opnorm_d2_n12_chain_config_vs_eigen_oracle(rng):
         assert abs(operator_norm(p, cfg).value - true) <= 1e-6 * true
 
 
+def _long_sshopm(p, cfg, iters=2000):
+    """max |p| reached by plain SS-HOPM, run for `iters` iterations on p and -p
+    from the starts operator_norm draws, at its default shift."""
+    starts = sphere._start_points(p.n, cfg.restarts, np.random.default_rng(cfg.seed))
+    form = sphere._Form(p)
+    shift = 1.0 + bombieri_norm(p)
+    X = np.vstack([starts, starts])
+    s = np.repeat([1.0, -1.0], len(starts))
+    best = -np.inf
+    for _ in range(iters):
+        TX = form.tx(X)
+        best = max(best, float(np.max(s * np.einsum("ij,ij->i", X, TX))))
+        G = s[:, None] * TX + shift * X
+        X = G / np.linalg.norm(G, axis=1, keepdims=True)
+    return best
+
+
+def test_opnorm_no_lower_than_long_sshopm():
+    # the Newton-accelerated ascent, capped at 150 iterations, against 2000
+    # plain SS-HOPM iterations from the same starts
+    rng = np.random.default_rng(4242)
+    for i in range(40):
+        d, n = 3 + i % 2, 3 + (i // 2) % 6
+        p = bombieri_gaussian(n, d, rng)
+        cfg = OptimizerConfig(restarts=6, max_iters=150, tol=1e-9, seed=i)
+        sm = operator_norm(p, cfg)
+        assert sm.value >= _long_sshopm(p, cfg) * (1 - 1e-12), (i, n, d)
+        assert len(sm.start_values) == len(sm.start_iterations) == 2 * n + cfg.restarts
+        # the starts -e_i repeat the entries of e_i, whose ascents mirror theirs
+        assert sm.start_values[n:2 * n] == sm.start_values[:n]
+        assert sm.start_iterations[n:2 * n] == sm.start_iterations[:n]
+
+
+@pytest.mark.parametrize("kernel", ["dense", "gather"])
+def test_ascent_in_blocks_changes_no_bit(monkeypatch, rng, kernel):
+    _with_kernel(monkeypatch, kernel)
+    cfg = OptimizerConfig(restarts=5, max_iters=60, tol=1e-9, seed=3)
+    for p in (bombieri_gaussian(5, 3, rng), bombieri_gaussian(4, 4, rng)):
+        whole = operator_norm(p, cfg)
+        for floats in (1, 1500):  # blocks of 2 rows; of a few rows, the last one shorter
+            with monkeypatch.context() as m:
+                m.setattr(sphere, "_BLOCK_FLOATS", floats)
+                part = operator_norm(p, cfg)
+            assert part.value == whole.value
+            assert np.array_equal(part.argmax, whole.argmax)
+            assert part.start_values == whole.start_values
+            assert part.start_iterations == whole.start_iterations
+            assert part.converged == whole.converged
+
+
+@pytest.mark.filterwarnings("error")
+def test_opnorm_zero_shift_at_a_critical_start():
+    # at e3 the gradient of x1^3 + x2^3 vanishes, so with shift 0 the SS-HOPM
+    # step is the zero vector: its candidate must not be taken or warn
+    p = poly_of(3, 3, {(3, 0, 0): 1.0, (0, 3, 0): 1.0})
+    sm = operator_norm(p, OptimizerConfig(restarts=3, shift=0.0))
+    assert sm.value == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(sm.argmax) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ascent_engine_on_linear_forms(rng):
+    # the dense-kernel ascent at d = 1, where T x^(d-2) is zero; the grid
+    # oracle runs it at n <= 3
+    cfg = OptimizerConfig(restarts=4, seed=1)
+    for n in range(1, 6):
+        c = rng.standard_normal(n)
+        p = poly_of(n, 1, {tuple(int(i == j) for j in range(n)): c[i] for i in range(n)})
+        assert _ascent_engine(p, cfg) == pytest.approx(np.linalg.norm(c), rel=1e-12)
+        if n <= 3:
+            assert operator_norm_oracle(p) == pytest.approx(np.linalg.norm(c), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 4)])
+def test_opnorm_vs_grid_oracle(rng, n, d):
+    p = bombieri_gaussian(n, d, rng)
+    est = operator_norm(p, OptimizerConfig(restarts=6, max_iters=150, tol=1e-9))
+    assert est.value == pytest.approx(operator_norm_oracle(p), rel=1e-6)
+
+
 def test_opnorm_zero_rejected():
     with pytest.raises(ValueError):
         operator_norm(zero_poly(3, 2), CFG)
