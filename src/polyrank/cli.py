@@ -45,7 +45,18 @@ def _load_poly(source: str):
         raise CliError(f"bad polynomial: {exc}") from exc
 
 
-def _config(args) -> sphere.OptimizerConfig:
+def _config(args, n: int, k: int | None = None, d: int = 2) -> sphere.OptimizerConfig:
+    """The optimizer config, refused before any start array is built when that
+    array would exceed _BENCH_TERM_LIMIT entries: restarts frames of n x k
+    for subnorm at k > 1, else 2n + restarts start points of n entries each
+    (one each for a linear form, whose closed form keeps only their values)."""
+    if k is not None and k > 1:
+        size = args.restarts * n * k
+    else:
+        size = (2 * n + args.restarts) * (n if d > 1 else 1)
+    if size > _BENCH_TERM_LIMIT:
+        raise CliError(f"--restarts {args.restarts} at n={n} would need start arrays of "
+                       f"{size} entries; refusing above {_BENCH_TERM_LIMIT}")
     try:
         return sphere.OptimizerConfig(
             restarts=args.restarts,
@@ -117,7 +128,7 @@ def cmd_opnorm(args) -> int:
         lines = [f"opnorm {_sig12(value)} (oracle)"]
     else:
         try:
-            sm = sphere.operator_norm(p, _config(args))
+            sm = sphere.operator_norm(p, _config(args, p.n, d=p.d))
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         payload = serialize.sphere_max_to_dict(sm)
@@ -145,7 +156,7 @@ def cmd_subnorm(args) -> int:
         lines = [f"subnorm {_sig12(value)} (oracle)"]
     else:
         try:
-            fm = sphere.subspace_norm(p, args.k, _config(args))
+            fm = sphere.subspace_norm(p, args.k, _config(args, p.n, k=args.k, d=p.d))
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         payload = serialize.frame_max_to_dict(fm)
@@ -162,7 +173,7 @@ def cmd_approx(args) -> int:
     if args.eps is None:
         raise CliError("approx requires --eps")
     try:
-        approx = lowrank.greedy_approximate(p, args.eps, _config(args))
+        approx = lowrank.greedy_approximate(p, args.eps, _config(args, p.n, d=p.d))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     bound = lowrank.step_bound(args.eps)
@@ -186,7 +197,7 @@ def cmd_concentrate(args) -> int:
     if args.eps is None:
         raise CliError("concentrate requires --eps")
     try:
-        report = concentration.concentrate(p, args.eps, _config(args),
+        report = concentration.concentrate(p, args.eps, _config(args, p.n, d=p.d),
                                            eps_inner=args.eps_inner)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -216,7 +227,7 @@ def cmd_chain_check(args) -> int:
             RecursionError) as exc:
         raise CliError(f"bad report: {exc}") from exc
     try:
-        check = concentration.verify_chain(p, report, _config(args))
+        check = concentration.verify_chain(p, report, _config(args, p.n, d=p.d))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     payload = {
@@ -305,7 +316,7 @@ def cmd_bench(args) -> int:
                     f"cell (d={d}, n={n}) would need {num_exponents(n, d)} dense "
                     f"terms; refusing above {_BENCH_TERM_LIMIT}"
                 )
-    cfg = _config(args)
+    cfg = _config(args, max(n_list))
     rows = []
     for eps in eps_list:
         bound = lowrank.step_bound(eps)

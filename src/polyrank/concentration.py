@@ -220,7 +220,10 @@ def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
     per-part maximizer directions.
 
     When the greedy loop returns no terms the report has k = 0 and the defect
-    degenerates to the squared sphere max of the whole form.
+    degenerates to the squared sphere max of the whole form.  That maximum is
+    the one the greedy loop stopped on (LowRankApprox.stop_max): p is not
+    rotated, and no sphere or subspace maximizer runs again, since the
+    subspace norm at dim V = 1 is that maximum or |p| at V's unit vector.
     """
     if p.is_zero:
         raise ValueError("cannot concentrate the zero polynomial")
@@ -243,18 +246,18 @@ def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
 
         Q, R, _ = scipy.linalg.qr(D, mode="economic", pivoting=True)
         k = int(np.sum(np.abs(np.diag(R)) > _RANK_TOL))
-        basis = Q[:, :k]
+        rotation = complete_orthogonal(Q[:, :k])
+        p_rot = apply_orthogonal(p, rotation)
     else:
-        k = 0
-        basis = np.zeros((n, 0))
-    rotation = complete_orthogonal(basis)
-    p_rot = apply_orthogonal(p, rotation)
+        # no greedy step: the rotation is the identity, and the greedy
+        # stage's last sphere maximum was taken on p itself
+        k, rotation, p_rot = 0, np.eye(n), p
     q_rot = zero_poly(n, d)
     for t in approx.terms:
         q_rot = q_rot + t.lam * pow_linear(rotation.T @ t.u, d)
 
     if k == 0:
-        sm = operator_norm(p_rot, cfg)
+        sm = approx.stop_max
         per_alpha = {(): sm.value ** 2}
         z_alpha = {(): sm.argmax}
         defect_inf = max_coeff_norm(p_rot) ** 2
@@ -281,6 +284,10 @@ def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
     mid4 = fact * bombieri_norm(project_subspace(diff_pq, frame_v)) ** 2
     if diff_pq.is_zero:
         rhs_bound = 0.0
+    elif k == 0:
+        # what subspace_norm at dim V = 1 returns: the sphere maximum of
+        # p - q = p, or |p| at V's unit vector where that is larger
+        rhs_bound = fact * max(sm.value, abs(evaluate(diff_pq, frame_v.basis[:, 0]))) ** 2
     else:
         rhs_bound = fact * subspace_norm(diff_pq, frame_v.k, cfg,
                                          extra_starts=(frame_v,)).value ** 2

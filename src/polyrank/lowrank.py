@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .poly import HomPoly, bombieri_norm, evaluate, pow_linear, zero_poly
-from .sphere import OptimizerConfig, Rank1Term, operator_norm
+from .sphere import OptimizerConfig, Rank1Term, SphereMax, operator_norm
 
 
 def step_bound(eps: float) -> int:
@@ -29,6 +29,9 @@ class LowRankApprox:
 
     residual_bombieri[i] and residual_opnorm_est[i] describe the residual
     after i terms; len(terms) is a Waring-rank upper bound for the approximant.
+    stop_max is the sphere maximum of the residual the loop stopped on (None
+    when that residual is zero, and after deserialization: it is not
+    serialized).
     """
 
     terms: tuple
@@ -38,6 +41,7 @@ class LowRankApprox:
     input_norm: float
     n: int
     d: int
+    stop_max: SphereMax | None = None
 
     def rank_upper_bound(self) -> int:
         return len(self.terms)
@@ -67,6 +71,7 @@ def greedy_approximate(p: HomPoly, eps: float,
     while True:
         if res.is_zero:
             res_ests.append(0.0)
+            top = None
             break
         top = operator_norm(res, cfg)
         res_ests.append(top.value)
@@ -84,6 +89,7 @@ def greedy_approximate(p: HomPoly, eps: float,
         input_norm=input_norm,
         n=p.n,
         d=p.d,
+        stop_max=top,
     )
 
 

@@ -23,11 +23,13 @@ subspace||^2 over orthonormal n x k frames by shifted symmetric
 higher-order orthogonal iteration (HOOI), started from the top singular
 frame of the tensor unfolding, from any caller-supplied frames, and from
 seeded random frames, all in one numpy batch (in blocks bounded in floats)
-from which each start leaves once its span stops moving.  For d = 2 the
-restriction to span(B) has norm ||B^T A B||_F, which the top-k eigenvectors
-of A by |eigenvalue| maximize (Ky Fan); that frame is scored against the
-caller-supplied ones.  For k = 1 the norm is |p(u)|, so the sphere maximizer
-answers it.
+from which each start leaves once its span stops moving.  Each iteration
+also values a Newton step on the Grassmannian, taken only where the
+Hessian is negative definite, and moves to the better of the two frames.
+For d = 2 the restriction to span(B) has norm ||B^T A B||_F, which the
+top-k eigenvectors of A by |eigenvalue| maximize (Ky Fan); that frame is
+scored against the caller-supplied ones.  For k = 1 the norm is |p(u)|, so
+the sphere maximizer answers it.
 """
 
 from __future__ import annotations
@@ -59,9 +61,11 @@ class OptimizerConfig:
     restarts is the number of seeded random starts each maximizer adds to its
     fixed ones; max_iters caps the iterations, and a start counts as
     converged once a step moves its point (or frame span) by less than tol.
-    One iteration is one move of every start's point (or frame): in the
-    sphere ascent on a dense form that move is the best of the Newton,
-    SS-HOPM and gradient steps it values together, and counts once.
+    One iteration is one move of every start's point (or frame), however
+    many candidates it values: in the sphere ascent on a dense form that
+    move is the best of the Newton, SS-HOPM and gradient steps it values
+    together, in the frame maximizer the better of the HOOI and
+    Newton-Grassmann frames, and either counts once.
     shift applies to the sphere maximizer only: None means
     1 + bombieri_norm(p), which keeps the shifted power iteration monotone at
     the cost of slower contraction.  All of them apply at d >= 3 only: linear
@@ -115,9 +119,10 @@ class FrameMax:
     """Best frame found for max ||p restricted to a k-dim subspace||.
 
     start_values holds, per start, the best value its iteration reached, and
-    start_iterations the iterations it ran, in the same order; both are empty
-    for the closed-form answers (zero form, k = n, d = 1).  converged
-    describes the winning start only.  At d = 2 with 1 < k < n no start
+    start_iterations the iterations it ran (each iteration one move, however
+    many candidate frames it valued; see OptimizerConfig), in the same
+    order; both are empty for the closed-form answers (zero form, k = n,
+    d = 1).  converged describes the winning start only.  At d = 2 with 1 < k < n no start
     iterates: start_values holds the eigenvector frame's value followed by
     each extra start's, start_iterations a 0 for each, and converged is True.
     """
@@ -157,6 +162,13 @@ _DENSE_PER_GATHER = 32
 # _Form.tx, or one block of start frames in _hooi; larger batches run block
 # by block, so memory does not grow with the number of starts.
 _BLOCK_FLOATS = 1 << 21
+
+# Longest Newton step _hooi takes, as ||Z||_F in the chart B(Z) = qf(B + Bp Z)
+# (for k = 1, 1 is a turn of 45 degrees).  The quadratic model says nothing
+# that far from B: on Bombieri-Gaussian forms (d = 4, n = 6, k = 4) one step
+# with ||Z|| = 26, where S was barely negative definite, reached the basin
+# of a maximum 0.2% lower than the one HOOI reaches from the same start.
+_NEWTON_MAX_STEP = 1.0
 
 
 def _index_rows(alphas) -> list:
@@ -285,7 +297,7 @@ _MAX_STEP = 0.2
 
 
 def _newton_steps(K: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Solve each bordered system K[i] z = R[i]; a singular one gives z = 0."""
+    """Solve each system K[i] z = R[i]; a singular one gives z = 0."""
     try:
         return np.linalg.solve(K, R)
     except np.linalg.LinAlgError:
@@ -600,10 +612,95 @@ def _fix_column_signs(B: np.ndarray) -> np.ndarray:
     return B * signs
 
 
+def _contract(flat: np.ndarray, B: np.ndarray, d: int):
+    """For each frame B[i] (n x k) of a stack, W = T x_2 B ... x_d B as an n x
+    k^(d-1) matrix and V = T x_3 B ... x_d B as an n x n k^(d-2) matrix, T
+    being the n x ... x n tensor flat.reshape(n, ..., n)."""
+    r, n, k = B.shape
+    if d == 2:
+        return flat @ B, np.broadcast_to(flat, (r, n, n))
+    Bt = B.transpose(0, 2, 1)
+    # contract modes d, d-1, ..., 3 in turn: V ends r x n^2 x k^(d-2)
+    V = flat @ B
+    for _ in range(d - 3):
+        V = (Bt[:, None] @ V.reshape(r, -1, n, V.shape[-1])).reshape(r, -1, k * V.shape[-1])
+    W = (Bt[:, None] @ V.reshape(r, n, n, -1)).reshape(r, n, -1)
+    return W, V.reshape(r, n, -1)
+
+
+def _grassmann_system(Bp: np.ndarray, W: np.ndarray, V: np.ndarray, C: np.ndarray,
+                      d: int):
+    """Newton system of f(B) = ||T(B, ..., B)||_F^2 on the Grassmannian at each
+    frame B[i] of a stack, in the chart B(Z) = qf(B + Bp Z), Z of size
+    (n - k) x k, Bp[i] an orthonormal complement of B[i].
+
+    With W and V from _contract, C = B^T W and A = Bp^T W, f(B(Z)) = f(B) +
+    2d <A C^T, Z> + d z^T S z + O(|Z|^3), z = vec(Z) row by row, where
+
+        S[(p,a),(q,b)] = (A A^T)[p,q] delta_ab - delta_pq (C C^T)[a,b]
+                         + (d-1) sum_c A[p,b,c] A[q,a,c]
+                         + (d-1) sum_c (Bp^T V_c Bp)[p,q] C[a,b,c],
+
+    A and C read as (n-k) x k x k^(d-2) and k x k x k^(d-2), and V_c the n x n
+    slice of V at the multi-index c.  Returns A C^T as r x (n-k)k x 1 columns
+    and S (r x (n-k)k x (n-k)k); the Newton step is z = -S^-1 vec(A C^T),
+    a maximizer of the model where S is negative definite.
+    """
+    r, n, nk = Bp.shape
+    k = n - nk
+    m = W.shape[-1] // k
+    Bpt = Bp.transpose(0, 2, 1)
+    A = Bpt @ W
+    rhs = (A @ C.transpose(0, 2, 1)).reshape(r, nk * k, 1)
+    A3 = A.reshape(r, nk * k, m)
+    S2 = (A3 @ A3.transpose(0, 2, 1)).reshape(r, nk, k, nk, k).transpose(0, 1, 4, 3, 2)
+    P = (Bpt[:, None] @ (Bpt @ V).reshape(r, nk, n, m)).reshape(r, nk * nk, m)
+    S3 = (P @ C.reshape(r, k * k, m).transpose(0, 2, 1)).reshape(r, nk, nk, k, k)
+    AA = (A @ A.transpose(0, 2, 1))[:, :, None, :, None]
+    CC = (C @ C.transpose(0, 2, 1))[:, None, :, None, :]
+    S = ((d - 1) * (S2 + S3.transpose(0, 1, 3, 2, 4)) + AA * np.eye(k)[:, None, :]
+         - np.eye(nk)[:, None, :, None] * CC)
+    return rhs, S.reshape(r, nk * k, nk * k)
+
+
+def _hooi_move(flat: np.ndarray, d: int, B, Bp, W, V, C, g, trusted, newton: bool):
+    """One move of every frame B[i] of a stack (see _hooi): the new frames,
+    their complements, W, V, C, values and trusted Newton step lengths."""
+    r, n, k = B.shape
+    M = W @ W.transpose(0, 2, 1) + (g / (2 * k))[:, None, None] * (B @ B.transpose(0, 2, 1))
+    E = np.linalg.eigh(M)[1]
+    # the HOOI frame is the top-k eigenvectors, the others its complement
+    frames, comps = [E[..., :-k - 1:-1]], [E[..., :n - k]]
+    if newton:
+        rhs, S = _grassmann_system(Bp, W, V, C, d)
+        Z = -_newton_steps(S, rhs)
+        Q = np.linalg.qr(B + Bp @ Z.reshape(r, n - k, k), mode="complete")[0]
+        frames.insert(0, Q[..., :k])
+        comps.insert(0, Q[..., k:])
+    Bc, Bpc = _fix_column_signs(np.concatenate(frames)), np.concatenate(comps)
+    Wc, Vc = _contract(flat, Bc, d)
+    Cc = Bc.transpose(0, 2, 1) @ Wc
+    gc = np.sum((Cc ** 2).reshape(len(Bc), -1), axis=1)
+    if not newton:
+        return Bc, Bpc, Wc, Vc, Cc, gc, trusted
+    # ties go to Newton, which counts only for a step within
+    # _NEWTON_MAX_STEP where S is negative definite.  A Newton step shorter
+    # than the last one taken where S was stays in that region, so it needs
+    # no test (as in _ascend).
+    length = np.sqrt(Z.transpose(0, 2, 1) @ Z)[:, 0, 0]
+    newton_best = (gc[:r] >= gc[r:]) & (length <= _NEWTON_MAX_STEP)
+    test = np.flatnonzero(newton_best & (length >= trusted))
+    if len(test):
+        newton_best[test[np.linalg.eigvalsh(S[test])[:, -1] >= 0.0]] = False
+    pick = np.where(newton_best, np.arange(r), np.arange(r, 2 * r))
+    return (Bc[pick], Bpc[pick], Wc[pick], Vc[pick], Cc[pick], gc[pick],
+            np.where(newton_best, length, 0.0))
+
+
 def _hooi(T: np.ndarray, B0: np.ndarray, max_iters: int, tol: float):
-    """Shifted symmetric higher-order orthogonal iteration from each start
-    frame B0[i] (n x k), for max ||T x_1 B ... x_d B||_F^2, all starts in one
-    batch.
+    """Shifted symmetric higher-order orthogonal iteration with Newton-Grassmann
+    steps from each start frame B0[i] (n x k, k < n), for max
+    ||T x_1 B ... x_d B||_F^2, all starts in one batch.
 
     W is T contracted with B in modes 2..d, an n x k^(d-1) matrix.  HOOI (De
     Lathauwer, De Moor & Vandewalle, SIAM J. Matrix Anal. Appl. 21(4), 2000)
@@ -611,48 +708,65 @@ def _hooi(T: np.ndarray, B0: np.ndarray, max_iters: int, tol: float):
     of W W^T.  The symmetric iteration is not monotone and can cycle, so, as
     the shift of SS-HOPM does for k = 1, the step adds sigma^2 B B^T to W W^T
     with sigma^2 = ||B^T W||_F^2 / (2k), half the mean eigenvalue of
-    B^T W W^T B.  A start leaves the batch once its new frame lies within tol
-    of the old span.  Every step runs on the frames of each start exactly as
-    it would alone, so the batch changes no bit of any start's result.
-    Starts run in blocks whose largest temporary, W or M, stays within
-    _BLOCK_FLOATS floats.  Returns per start the best value and frame
-    evaluated (the start included), the iterations it ran and whether it
+    B^T W W^T B.  Each iteration also builds the Newton step on the
+    Grassmannian (Elden & Savas, SIAM J. Matrix Anal. Appl. 31(2), 2009; see
+    _grassmann_system), values both candidate frames in one batch and moves
+    to the better one, ties going to Newton, which counts only where the
+    Hessian is negative definite.  Either way one iteration is one move, and
+    a start leaves the batch once its new frame, evaluated, lies within tol of
+    the old span, or after max_iters iterations.
+
+    Every step runs on the frames of each start exactly as it would alone, so
+    the batch changes no bit of any start's result.  Starts run in blocks
+    whose W or M of one candidate frame per start stays within _BLOCK_FLOATS
+    floats, and the Newton systems ((n-k)k squared floats per start) of a
+    block in chunks within _BLOCK_FLOATS; where one start's system alone
+    exceeds it, no Newton step is built.  Returns per start the best value and
+    frame evaluated (the start included), the iterations it ran and whether it
     stopped on the span test rather than at max_iters.
     """
     s, n, k = B0.shape
-    block = max(1, _BLOCK_FLOATS // (n * max(n ** (T.ndim - 2) * k, n)))
+    d = T.ndim
+    block = max(1, _BLOCK_FLOATS // (n * max(n ** (d - 2) * k, n)))
     if s > block:
         parts = [_hooi(T, B0[lo:lo + block], max_iters, tol) for lo in range(0, s, block)]
         return tuple(np.concatenate(a) for a in zip(*parts))
     flat = T.reshape(-1, n)
+    chunk = _BLOCK_FLOATS // ((n - k) * k) ** 2
     best_g, best_B = np.empty(s), np.empty_like(B0)
     iters, conv = np.full(s, max_iters), np.zeros(s, dtype=bool)
     rows, B = np.arange(s), B0
-    bg, bB = np.full(s, -np.inf), B0.copy()
+    Bp = np.linalg.qr(B0, mode="complete")[0][..., k:]
+    W, V = _contract(flat, B, d)
+    C = B.transpose(0, 2, 1) @ W
+    g = np.sum((C ** 2).reshape(s, -1), axis=1)
+    bg, bB = g.copy(), B0.copy()
+    trusted = np.zeros(s)
     for it in range(max_iters):
         r = len(rows)
-        Bt = B.transpose(0, 2, 1)
-        # contract modes d, d-1, ..., 2 in turn: W ends r x n x k^(d-1)
-        W = flat @ B
-        for _ in range(T.ndim - 2):
-            W = (Bt[:, None] @ W.reshape(r, -1, n, W.shape[-1])).reshape(r, -1, k * W.shape[-1])
-        g = np.sum(((Bt @ W) ** 2).reshape(r, -1), axis=1)
-        better = g > bg
-        bg[better] = g[better]
-        bB[better] = B[better]
-        M = W @ W.transpose(0, 2, 1) + (g / (2 * k))[:, None, None] * (B @ Bt)
-        U = _fix_column_signs(np.linalg.eigh(M)[1][..., :-k - 1:-1])
-        R = (U - B @ (Bt @ U)).reshape(r, 1, -1)
+        state = (B, Bp, W, V, C, g, trusted)
+        if r <= chunk or not chunk:
+            new = _hooi_move(flat, d, *state, newton=chunk > 0)
+        else:
+            new = [np.concatenate(a) for a in zip(*(
+                _hooi_move(flat, d, *(a[lo:lo + chunk] for a in state), newton=True)
+                for lo in range(0, r, chunk)))]
+        Bn = new[0]
+        better = new[5] > bg
+        np.copyto(bg, new[5], where=better)
+        np.copyto(bB, Bn, where=better[:, None, None])
+        R = (Bn - B @ (B.transpose(0, 2, 1) @ Bn)).reshape(r, 1, -1)
         leaving = np.sqrt(R @ R.transpose(0, 2, 1))[:, 0, 0] < tol
         if leaving.any():
             out = rows[leaving]
             best_g[out], best_B[out] = bg[leaving], bB[leaving]
             iters[out], conv[out] = it + 1, True
             keep = ~leaving
-            rows, U, bg, bB = rows[keep], U[keep], bg[keep], bB[keep]
+            rows, bg, bB = rows[keep], bg[keep], bB[keep]
+            new = [a[keep] for a in new]
             if not len(rows):
                 break
-        B = U
+        B, Bp, W, V, C, g, trusted = new
     best_g[rows], best_B[rows] = bg, bB
     return best_g, best_B, iters, conv
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from polyrank import (
     HomPoly,
     OptimizerConfig,
+    evaluate,
+    greedy_approximate,
     alpha_decompose,
     bombieri_norm,
     concentrate,
@@ -16,9 +19,12 @@ from polyrank import (
     pow_linear,
     quadratic_poly,
     reassemble,
+    subspace_norm,
     verify_chain,
 )
+from polyrank import sphere
 from polyrank.frames import random_orthogonal
+from polyrank.serialize import dumps_canonical, report_from_dict, report_to_dict
 from polyrank.generators import bombieri_gaussian, planted_lowrank
 
 from conftest import poly_of
@@ -157,6 +163,45 @@ def test_concentrate_hard_family_degenerates_to_k0():
         "defect_over_norm", "defect_over_norm_sq", "defect_over_eps_sq_norm_sq",
     }
     assert verify_chain(p, rep, CFG).passed
+
+
+def test_concentrate_k0_runs_no_ascent_beyond_the_greedy_stage(monkeypatch, rng):
+    # a Bombieri-Gaussian cubic has sphere max about 0.6 ||p||_B, below the
+    # threshold 0.9 ||p||_B, so the greedy stage takes no step: k = 0
+    p = bombieri_gaussian(5, 3, rng)
+    ascents, frames = [], []
+    ascend, hooi = sphere._ascend, sphere._hooi
+    monkeypatch.setattr(sphere, "_ascend", lambda *a: ascents.append(1) or ascend(*a))
+    monkeypatch.setattr(sphere, "_hooi", lambda *a: frames.append(1) or hooi(*a))
+    approx = greedy_approximate(p, 0.9, CFG)
+    greedy_ascents = len(ascents)
+    ascents.clear()
+    rep = concentrate(p, 0.9, CFG, eps_inner=0.9)
+    assert rep.k == 0 and len(approx.terms) == 0
+    assert len(ascents) == greedy_ascents == 1
+    assert frames == []
+    sm = rep.approx.stop_max
+    assert rep.per_alpha == {(): sm.value ** 2}
+    assert np.array_equal(rep.z_alpha[()], sm.argmax)
+    assert np.array_equal(rep.rotation, np.eye(5))
+    # dim V = 1: the subspace norm of p - q = p at V with V as an extra start
+    v = rep.frame_v.basis[:, 0]
+    fact = math.factorial(3)
+    assert rep.chain.rhs_bound == fact * max(sm.value, abs(evaluate(p, v))) ** 2
+    assert rep.chain.rhs_bound == pytest.approx(
+        fact * subspace_norm(p, 1, CFG, extra_starts=(rep.frame_v,)).value ** 2, rel=1e-15)
+    assert verify_chain(p, rep, CFG).passed
+    obj = report_to_dict(rep)
+    assert set(obj) == {"k", "rotation", "defect", "per_alpha", "defect_inf", "chain",
+                        "z_alpha", "frame_v", "approx", "eps", "eps_inner", "input_norm",
+                        "ratios"}
+    assert set(obj["approx"]) == {"eps", "input_norm", "terms", "residual_bombieri",
+                                  "residual_opnorm_est", "n", "d"}
+    text = dumps_canonical(obj)
+    back = report_from_dict(json.loads(text))
+    assert back.approx.stop_max is None
+    assert dumps_canonical(report_to_dict(back)) == text
+    assert verify_chain(p, back, CFG).passed
 
 
 def test_concentrate_hard_family_default_scaling_deflates_fully():

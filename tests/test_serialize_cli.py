@@ -385,6 +385,29 @@ def test_cli_n_squared_guard(tmp_path, argv):
     assert "refusing" in proc.stderr
 
 
+_CUBIC = '{"n": 3, "d": 3, "terms": [{"alpha": [3, 0, 0], "c": 1.0}, {"alpha": [1, 1, 1], "c": 0.5}]}'
+_QUADRATIC = '{"n": 3, "d": 2, "terms": [{"alpha": [2, 0, 0], "c": 1.0}, {"alpha": [0, 1, 1], "c": 0.5}]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["opnorm", _CUBIC],
+    ["opnorm", _QUADRATIC],
+    ["approx", _CUBIC, "--eps", "0.5"],
+    ["concentrate", _CUBIC, "--eps", "0.5"],
+    ["subnorm", _CUBIC, "--k", "2"],
+    ["subnorm", _CUBIC, "--k", "1"],
+    ["bench"],
+], ids=["opnorm", "opnorm-d2", "approx", "concentrate", "subnorm", "subnorm-k1", "bench"])
+def test_cli_restarts_guard(argv):
+    # 1e11 restarts: without the guard the start arrays need terabytes (or,
+    # for subnorm at k = 2, a Python loop of 1e11 random frames)
+    proc = _run_cli_capped(argv + ["--restarts", "100000000000"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "refusing" in proc.stderr
+
+
 def test_cli_opnorm_linear_form_needs_no_square_guard(tmp_path):
     # the closed form for c.x holds only length-n vectors
     big = tmp_path / "linear.json"

@@ -465,22 +465,72 @@ def _fix_column_signs_one(B):
 
 
 def _hooi_one(T, B, max_iters, tol):
-    """HOOI from one start frame at a time: the reference for the batch."""
+    """HOOI with Newton-Grassmann candidates from one start frame at a time:
+    the reference for the batch."""
     n, k = B.shape
+    d = T.ndim
+    nk = n - k
     flat = T.reshape(-1, n)
-    best_g, best_B = -math.inf, B
+    # as in sphere._hooi: no Newton step where one start's system alone
+    # exceeds the block bound
+    newton = (nk * k) ** 2 <= sphere._BLOCK_FLOATS
+
+    def contract(B):
+        if d == 2:
+            return flat @ B, flat
+        V = flat @ B
+        for _ in range(d - 3):
+            V = (B.T @ V.reshape(-1, n, V.shape[-1])).reshape(-1, k * V.shape[-1])
+        return (B.T @ V.reshape(n, n, -1)).reshape(n, -1), V.reshape(n, -1)
+
+    def system(Bp, W, V, C):
+        m = W.shape[-1] // k
+        A = Bp.T @ W
+        rhs = (A @ C.T).reshape(nk * k, 1)
+        A3 = A.reshape(nk * k, m)
+        S2 = (A3 @ A3.T).reshape(nk, k, nk, k).transpose(0, 3, 2, 1)
+        P = (Bp.T @ (Bp.T @ V).reshape(nk, n, m)).reshape(nk * nk, m)
+        S3 = (P @ C.reshape(k * k, m).T).reshape(nk, nk, k, k)
+        AA = (A @ A.T)[:, None, :, None]
+        CC = (C @ C.T)[None, :, None, :]
+        S = ((d - 1) * (S2 + S3.transpose(0, 2, 1, 3)) + AA * np.eye(k)[:, None, :]
+             - np.eye(nk)[:, None, :, None] * CC)
+        return rhs, S.reshape(nk * k, nk * k)
+
+    def candidate(B, Bp):
+        W, V = contract(B)
+        C = B.T @ W
+        return B, Bp, W, V, C, float(np.sum(C ** 2))
+
+    B, Bp, W, V, C, g = candidate(B, np.linalg.qr(B, mode="complete")[0][:, k:])
+    best_g, best_B = g, B
+    trusted = 0.0
     for _ in range(max_iters):
-        W = flat @ B
-        for _ in range(T.ndim - 2):
-            W = (B.T @ W.reshape(-1, n, W.shape[-1])).reshape(-1, k * W.shape[-1])
-        g = float(np.sum((B.T @ W) ** 2))
-        if g > best_g:
-            best_g, best_B = g, B
-        M = W @ W.T + g / (2 * k) * (B @ B.T)
-        U = _fix_column_signs_one(np.linalg.eigh(M)[1][:, :-k - 1:-1])
-        if np.linalg.norm(U - B @ (B.T @ U)) < tol:
+        E = np.linalg.eigh(W @ W.T + g / (2 * k) * (B @ B.T))[1]
+        new = candidate(_fix_column_signs_one(E[:, :-k - 1:-1]), E[:, :nk])
+        if newton:
+            rhs, S = system(Bp, W, V, C)
+            try:
+                Z = -np.linalg.solve(S, rhs)
+            except np.linalg.LinAlgError:
+                Z = -np.zeros_like(rhs)
+            Q = np.linalg.qr(B + Bp @ Z.reshape(nk, k), mode="complete")[0]
+            step = candidate(_fix_column_signs_one(Q[:, :k]), Q[:, k:])
+            length = float(np.sqrt(Z.T @ Z)[0, 0])
+            if (step[5] >= new[5] and length <= sphere._NEWTON_MAX_STEP
+                    and (length < trusted or np.linalg.eigvalsh(S)[-1] < 0.0)):
+                new, trusted = step, length
+            else:
+                trusted = 0.0
+        Bn = new[0]
+        if new[5] > best_g:
+            best_g, best_B = new[5], Bn
+        if np.linalg.norm(Bn - B @ (B.T @ Bn)) < tol:
             return best_g, best_B, True
-        B = U
+        B, Bp, W, V, C, g = new
+        # the batch gathers the chosen complement into a new array: copy it,
+        # so that numpy multiplies the same memory layouts
+        Bp = np.ascontiguousarray(Bp)
     return best_g, best_B, False
 
 
@@ -563,6 +613,110 @@ def test_subnorm_batch_matches_one_start_at_a_time(monkeypatch, rng, block_start
                 min(block_starts, n_starts - lo) for lo in range(0, n_starts, block_starts))
         stops.update(i < cfg.max_iters for i in got_iters)
     assert stops == {True, False}
+
+
+def _frame_value(T, B):
+    """||T(B, ..., B)||_F^2 by one tensordot per mode."""
+    G = T
+    for _ in range(T.ndim):
+        G = np.tensordot(G, B, axes=([0], [0]))
+    return float(np.sum(G ** 2))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_grassmann_system_vs_central_differences(rng, d):
+    # f(B(Z)) = f(B) + 2d <A C^T, Z> + d z^T S z + O(|Z|^3) in the chart
+    # B(Z) = qf(B + Bp Z): central differences of f along random Z give the
+    # gradient, and the mixed difference along two of them the Hessian
+    for n, k in ((4, 2), (5, 2), (6, 3), (5, 4)):
+        T = dense_tensor(bombieri_gaussian(n, d, rng))
+        Q = random_orthogonal(n, rng)
+        B, Bp = Q[:, :k], Q[:, k:]
+        W, V = sphere._contract(T.reshape(-1, n), B[None], d)
+        C = B.T @ W[0]
+        rhs, S = sphere._grassmann_system(Bp[None], W, V, C[None], d)
+        rhs, S = rhs[0, :, 0], S[0]
+        f0 = _frame_value(T, B)
+        assert f0 == pytest.approx(float(np.sum(C ** 2)), rel=1e-13)
+        np.testing.assert_allclose(S, S.T, rtol=0, atol=1e-13 * f0)
+
+        def f(Z):
+            return _frame_value(T, np.linalg.qr(B + Bp @ Z)[0])
+
+        for _ in range(3):
+            Z1, Z2 = rng.standard_normal((2, n - k, k))
+            t, h = 1e-5, 1e-4
+            grad = (f(t * Z1) - f(-t * Z1)) / (2 * t)
+            assert grad == pytest.approx(2 * d * rhs @ Z1.ravel(), abs=1e-7 * f0)
+            hess = (f(h * (Z1 + Z2)) - f(h * (Z1 - Z2)) - f(h * (Z2 - Z1))
+                    + f(-h * (Z1 + Z2))) / (4 * h * h)
+            model = 2 * d * Z1.ravel() @ S @ Z2.ravel()
+            assert hess == pytest.approx(model, abs=1e-5 * (abs(model) + f0))
+
+
+def _long_hooi(T, starts, iters=2000):
+    """max ||T(B, ..., B)||_F^2 reached by plain shifted HOOI (the step of
+    sphere._hooi without Newton) from each start, run for `iters` iterations
+    or until no frame moves."""
+    n = T.shape[0]
+    flat = T.reshape(-1, n)
+    B = np.stack(starts)
+    r, _, k = B.shape
+    best = -np.inf
+    for _ in range(iters):
+        W = sphere._contract(flat, B, T.ndim)[0]
+        g = np.sum(((B.transpose(0, 2, 1) @ W) ** 2).reshape(r, -1), axis=1)
+        best = max(best, float(np.max(g)))
+        M = W @ W.transpose(0, 2, 1) + (g / (2 * k))[:, None, None] * (B @ B.transpose(0, 2, 1))
+        U = np.linalg.eigh(M)[1][..., :-k - 1:-1]
+        moved = np.max(np.abs(U @ U.transpose(0, 2, 1) - B @ B.transpose(0, 2, 1)))
+        B = U
+        if moved < 1e-15:
+            break
+    return best
+
+
+def test_subnorm_no_lower_than_long_hooi():
+    # HOOI with Newton-Grassmann steps, capped at 150 iterations, against
+    # 2000 plain shifted HOOI iterations from the same starts
+    rng = np.random.default_rng(4343)
+    for i in range(40):
+        d, n = 3 + i % 2, 4 + (i // 2) % 5
+        k = 2 + (i // 10) % (n - 2)
+        p = bombieri_gaussian(n, d, rng)
+        cfg = OptimizerConfig(restarts=6, max_iters=150, tol=1e-9, seed=i)
+        fm = subspace_norm(p, k, cfg)
+        T, starts = _hooi_starts(p, k, cfg, ())
+        assert fm.value ** 2 >= _long_hooi(T, starts) * (1 - 1e-12), (i, n, d, k)
+        assert fm.value ** 2 == pytest.approx(_frame_value(T, fm.frame.basis), rel=1e-13)
+
+
+@pytest.mark.parametrize("n, d, k", [(8, 3, 3), (7, 3, 2), (6, 2, 3)])
+def test_hooi_in_blocks_and_newton_chunks_changes_no_bit(monkeypatch, rng, n, d, k):
+    # a start's Newton system ((n-k)k squared floats) outweighs its W or M
+    # here, so with _BLOCK_FLOATS lowered to three starts' W or M the starts
+    # run in blocks of three and each block's Newton systems in smaller
+    # chunks, yet every start still takes Newton steps
+    cfg = OptimizerConfig(restarts=5, max_iters=60, tol=1e-9, seed=4)
+    T, starts = _hooi_starts(bombieri_gaussian(n, d, rng), k, cfg, ())
+    whole = sphere._hooi(T, np.stack(starts), cfg.max_iters, cfg.tol)
+    per_start = n * max(n ** (d - 2) * k, n)
+    system = ((n - k) * k) ** 2
+    assert per_start < system <= 3 * per_start
+    moves = []
+    move = sphere._hooi_move
+
+    def spy(flat, d, B, *state, newton):
+        moves.append((len(B), newton))
+        return move(flat, d, B, *state, newton=newton)
+
+    monkeypatch.setattr(sphere, "_hooi_move", spy)
+    monkeypatch.setattr(sphere, "_BLOCK_FLOATS", 3 * per_start)
+    part = sphere._hooi(T, np.stack(starts), cfg.max_iters, cfg.tol)
+    assert all(newton for _, newton in moves)
+    assert {rows for rows, _ in moves} == set(range(1, 3 * per_start // system + 1))
+    for got, want in zip(part, whole):
+        assert np.array_equal(got, want)
 
 
 def test_subnorm_start_iterations(rng):
