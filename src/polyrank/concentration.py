@@ -11,8 +11,11 @@ a short sum of d-th powers, rotate the span of the power directions onto the
 first k coordinates, and then certify a chain of inequalities that bounds the
 defect by d! times the squared subspace-norm error of the approximation,
 evaluated on an explicit frame V containing the head coordinates and one
-maximizer direction per tail part.  `verify_chain` recomputes every link of
-that chain from scratch.
+maximizer direction per tail part.  The report keeps the frame of dimension
+dim V at which that error norm was found (the right end's witness).
+`verify_chain` recomputes every link of the chain from the original form,
+evaluating both ends at the report's witnesses (the left end at its maximizer
+directions, the right end at its witness frame) rather than searching again.
 """
 
 from __future__ import annotations
@@ -154,6 +157,14 @@ class ChainValues:
 
 @dataclass(frozen=True, eq=False)
 class ConcentrationReport:
+    """What `concentrate` found, with the witnesses `verify_chain` checks.
+
+    z_alpha holds the unit maximizer of each low-weight tail part, whose
+    squared values are per_alpha.  rhs_frame is the frame of dimension dim V
+    whose projected error norm gives chain.rhs_bound: the subspace-norm
+    maximizer's frame, or V itself when k = 0, dim V = n or p = q.
+    """
+
     k: int
     rotation: np.ndarray
     defect: float
@@ -162,6 +173,7 @@ class ConcentrationReport:
     chain: ChainValues
     z_alpha: dict
     frame_v: Frame
+    rhs_frame: Frame
     approx: LowRankApprox
     eps: float
     eps_inner: float
@@ -282,15 +294,21 @@ def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
     mid2 = fact * bombieri_norm(diff_vu) ** 2
     mid3 = fact * bombieri_norm(p_v - q_rot) ** 2
     mid4 = fact * bombieri_norm(project_subspace(diff_pq, frame_v)) ** 2
+    # the right end's witness: V itself where V's value is already the
+    # subspace norm's answer, else the frame subspace_norm found
+    rhs_frame = frame_v
     if diff_pq.is_zero:
         rhs_bound = 0.0
     elif k == 0:
         # what subspace_norm at dim V = 1 returns: the sphere maximum of
-        # p - q = p, or |p| at V's unit vector where that is larger
+        # p - q = p, or |p| at V's unit vector where that is larger; V's unit
+        # vector is that maximizer, normalised
         rhs_bound = fact * max(sm.value, abs(evaluate(diff_pq, frame_v.basis[:, 0]))) ** 2
+    elif frame_v.k == n:
+        rhs_bound = fact * bombieri_norm(diff_pq) ** 2
     else:
-        rhs_bound = fact * subspace_norm(diff_pq, frame_v.k, cfg,
-                                         extra_starts=(frame_v,)).value ** 2
+        fm = subspace_norm(diff_pq, frame_v.k, cfg, extra_starts=(frame_v,))
+        rhs_frame, rhs_bound = fm.frame, fact * fm.value ** 2
     chain = ChainValues(
         lhs=defect,
         mid1=mid1,
@@ -314,6 +332,7 @@ def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
         chain=chain,
         z_alpha=z_alpha,
         frame_v=frame_v,
+        rhs_frame=rhs_frame,
         approx=approx,
         eps=eps,
         eps_inner=inner,
@@ -353,12 +372,15 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
     """Recompute every chain quantity from the original polynomial and check
     each inequality at tolerance 1e-6 * ||p||^2.
 
-    The left end is re-evaluated from the stored maximizer directions rather
-    than re-optimized, the middle scaling step is additionally verified at the
-    level of exact integer monomial weights, and the right end gets a fresh
-    subspace-norm estimate seeded with the report's own frame.
+    No maximizer runs: both ends are evaluated at the report's witnesses.  The
+    left end is the tail parts' values at the stored maximizer directions, the
+    middle scaling step is additionally verified at the level of exact integer
+    monomial weights, and the right end is the projected error norm at the
+    report's witness frame rhs_frame, a certified lower bound on the subspace
+    norm at dim V.  Each end must also match the value the report states
+    (per_alpha_consistent, rhs_consistent).  cfg is accepted for callers that
+    pass one and changes nothing.
     """
-    cfg = cfg or OptimizerConfig()
     n, d = p.n, p.d
     fact = float(math.factorial(d))
     rotation = np.asarray(report.rotation, dtype=float)
@@ -370,12 +392,17 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
     frame_v = report.frame_v
     if frame_v.n != n or frame_v.k < k:
         raise ValueError("report frame does not match the polynomial's dimensions")
+    rhs_frame = report.rhs_frame
+    if rhs_frame.n != n or rhs_frame.k != frame_v.k:
+        raise ValueError("report witness frame does not match the dimensions of its frame V")
 
     input_norm = bombieri_norm(p)
     tol = 1e-6 * input_norm ** 2
-    p_rot = apply_orthogonal(p, rotation)
+    # the identity (every k = 0 report) leaves p as it is, as in concentrate
+    identity = np.array_equal(rotation, np.eye(n))
+    p_rot = p if identity else apply_orthogonal(p, rotation)
     q = reconstruct(report.approx, n, d)
-    q_rot = apply_orthogonal(q, rotation) if not q.is_zero else q
+    q_rot = q if identity or q.is_zero else apply_orthogonal(q, rotation)
 
     checks: dict = {}
     proj_v = frame_v.projection()
@@ -435,14 +462,13 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
 
     mid3 = fact * bombieri_norm(p_v - q_rot) ** 2
     mid4 = fact * bombieri_norm(project_subspace(diff_pq, frame_v)) ** 2
-    if diff_pq.is_zero:
-        rhs_bound = 0.0
-    else:
-        rhs_bound = fact * subspace_norm(diff_pq, frame_v.k, cfg,
-                                         extra_starts=(frame_v,)).value ** 2
+    rhs_bound = fact * bombieri_norm(project_subspace(diff_pq, rhs_frame)) ** 2
 
     budget = frame_budget(k, d)
     checks["dim_within_budget"] = frame_v.k <= budget
+    checks["rhs_consistent"] = (
+        abs(rhs_bound - report.chain.rhs_bound) <= 1e-9 * (1.0 + abs(rhs_bound))
+    )
 
     links = (
         _le_link("part_maxima_le_part_norms", lhs, mid1, tol),

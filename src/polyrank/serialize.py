@@ -237,6 +237,7 @@ def report_to_dict(r: ConcentrationReport) -> dict:
         "chain": chain_to_dict(r.chain),
         "z_alpha": [{"alpha": list(h), "z": _vector(r.z_alpha[h])} for h in heads],
         "frame_v": frame_to_dict(r.frame_v),
+        "rhs_frame": frame_to_dict(r.rhs_frame),
         "approx": approx_to_dict(r.approx),
         "eps": r.eps,
         "eps_inner": r.eps_inner,
@@ -258,6 +259,7 @@ def report_from_dict(obj) -> ConcentrationReport:
         chain=chain_from_dict(obj["chain"]),
         z_alpha=z_alpha,
         frame_v=frame_from_dict(obj["frame_v"]),
+        rhs_frame=frame_from_dict(obj["rhs_frame"]),
         approx=approx_from_dict(obj["approx"]),
         eps=float(obj["eps"]),
         eps_inner=float(obj["eps_inner"]),

@@ -817,7 +817,12 @@ def subspace_norm(p: HomPoly, k: int, cfg: OptimizerConfig | None = None,
         best = _first_best(values)
         return FrameMax(values[best], Frame(p.n, k, frames[best]), True, values,
                         (0,) * len(values))
+    # HOOI runs on T scaled by a power of two so its largest entry is in
+    # [0.5, 1), where the squares in g and M neither overflow nor underflow;
+    # the scaling is exact both ways, so p and 2^j p get the same frame
     T = dense_tensor(p)
+    e = math.frexp(float(np.max(np.abs(T))))[1]
+    T = np.ldexp(T, -e)
     U = np.linalg.svd(T.reshape(p.n, -1), full_matrices=False)[0]
     starts = [_fix_column_signs(U[:, :k])]
     starts += [f.basis for f in extra_starts]
@@ -826,10 +831,10 @@ def subspace_norm(p: HomPoly, k: int, cfg: OptimizerConfig | None = None,
     g, B, iters, conv = _hooi(T, np.stack(starts), cfg.max_iters, cfg.tol)
     best = _first_best(g)
     return FrameMax(
-        value=math.sqrt(max(g[best], 0.0)),
+        value=math.ldexp(math.sqrt(max(g[best], 0.0)), e),
         frame=Frame(p.n, k, B[best]),
         converged=bool(conv[best]),
-        start_values=tuple(math.sqrt(max(v, 0.0)) for v in g),
+        start_values=tuple(math.ldexp(math.sqrt(max(v, 0.0)), e) for v in g),
         start_iterations=tuple(int(i) for i in iters),
     )
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -17,13 +18,15 @@ from polyrank import (
     hard_family,
     monomial_count_below,
     pow_linear,
+    project_subspace,
     quadratic_poly,
     reassemble,
+    reconstruct,
     subspace_norm,
     verify_chain,
 )
 from polyrank import sphere
-from polyrank.frames import random_orthogonal
+from polyrank.frames import Frame, coordinate_frame, random_orthogonal
 from polyrank.serialize import dumps_canonical, report_from_dict, report_to_dict
 from polyrank.generators import bombieri_gaussian, planted_lowrank
 
@@ -193,8 +196,8 @@ def test_concentrate_k0_runs_no_ascent_beyond_the_greedy_stage(monkeypatch, rng)
     assert verify_chain(p, rep, CFG).passed
     obj = report_to_dict(rep)
     assert set(obj) == {"k", "rotation", "defect", "per_alpha", "defect_inf", "chain",
-                        "z_alpha", "frame_v", "approx", "eps", "eps_inner", "input_norm",
-                        "ratios"}
+                        "z_alpha", "frame_v", "rhs_frame", "approx", "eps", "eps_inner",
+                        "input_norm", "ratios"}
     assert set(obj["approx"]) == {"eps", "input_norm", "terms", "residual_bombieri",
                                   "residual_opnorm_est", "n", "d"}
     text = dumps_canonical(obj)
@@ -299,3 +302,85 @@ def test_chain_mismatched_report_rejected(rng):
     other = bombieri_gaussian(5, 2, rng)
     with pytest.raises(ValueError):
         verify_chain(other, rep, CFG)
+
+
+# ------------------------------------------------- the right end's witness
+
+def _cubic_reports():
+    """d = 3 reports at k = 0 and at k = 1 < dim V < n, where concentrate's
+    right end comes from HOOI."""
+    p0 = bombieri_gaussian(5, 3, np.random.default_rng(20240817))
+    p1 = bombieri_gaussian(5, 3, np.random.default_rng(7))
+    rep0 = concentrate(p0, 0.9, CFG, eps_inner=0.9)
+    rep1 = concentrate(p1, 0.9, CFG, eps_inner=0.4)
+    assert rep0.k == 0
+    assert rep1.k >= 1 and 1 < rep1.frame_v.k < p1.n
+    return (p0, rep0), (p1, rep1)
+
+
+def _with_witness(rep, frame, rhs_bound=None):
+    chain = rep.chain
+    if rhs_bound is not None:
+        chain = dataclasses.replace(chain, rhs_bound=rhs_bound)
+    return dataclasses.replace(rep, rhs_frame=frame, chain=chain)
+
+
+def test_verify_chain_runs_no_maximizer(monkeypatch):
+    reports = _cubic_reports()
+    calls = []
+    ascend, hooi = sphere._ascend, sphere._hooi
+    monkeypatch.setattr(sphere, "_ascend", lambda *a: calls.append("_ascend") or ascend(*a))
+    monkeypatch.setattr(sphere, "_hooi", lambda *a: calls.append("_hooi") or hooi(*a))
+    for p, rep in reports:
+        chk = verify_chain(p, rep, CFG)
+        assert chk.passed
+        assert chk.checks["rhs_consistent"]
+    assert calls == []
+
+
+def test_concentrate_witness_gives_its_rhs_bound():
+    # evaluated apart from the pipeline: p - q in the original coordinates,
+    # projected onto the witness frame rotated back
+    (p0, rep0), (p1, rep1) = _cubic_reports()
+    assert rep0.rhs_frame is rep0.frame_v
+    for p, rep in ((p0, rep0), (p1, rep1)):
+        w = rep.rhs_frame
+        frame = Frame(w.n, w.k, rep.rotation @ w.basis)
+        err = p - reconstruct(rep.approx, p.n, p.d) if rep.approx.terms else p
+        value = math.factorial(3) * bombieri_norm(project_subspace(err, frame)) ** 2
+        assert value == pytest.approx(rep.chain.rhs_bound, rel=1e-12)
+
+
+def test_verify_chain_refuses_a_weaker_witness():
+    for p, rep in _cubic_reports():
+        chk = verify_chain(p, rep, CFG)
+        # a coordinate frame of dim V whose error norm falls below mid4, stated
+        # with its own value so only the bound itself can fail
+        n, m = p.n, rep.frame_v.k
+        weak = [coordinate_frame(n, range(i, i + m)) for i in range(n - m + 1)]
+        values = [verify_chain(p, _with_witness(rep, f), CFG).values.rhs_bound
+                  for f in weak]
+        i = int(np.argmin(values))
+        assert values[i] < chk.values.mid4 - chk.tol
+        bad = verify_chain(p, _with_witness(rep, weak[i], values[i]), CFG)
+        links = {l.name: l.passed for l in bad.links}
+        assert not links["error_subspace_bound"]
+        assert bad.checks["rhs_consistent"]
+        assert not bad.passed
+
+
+def test_verify_chain_refuses_a_misstated_rhs_bound():
+    for p, rep in _cubic_reports():
+        bad = verify_chain(p, _with_witness(rep, rep.rhs_frame,
+                                            rep.chain.rhs_bound * (1 + 1e-6)), CFG)
+        assert not bad.checks["rhs_consistent"]
+        assert all(l.passed for l in bad.links)
+        assert not bad.passed
+
+
+def test_verify_chain_rejects_a_witness_of_the_wrong_shape():
+    for p, rep in _cubic_reports():
+        n, m = p.n, rep.frame_v.k
+        for frame in (coordinate_frame(n, range(m + 1)), coordinate_frame(n + 1, range(m))):
+            with pytest.raises(ValueError, match="witness frame"):
+                verify_chain(p, _with_witness(rep, frame), CFG)

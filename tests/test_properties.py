@@ -8,14 +8,19 @@ depend on the host, and it leaves no files behind.
 import contextlib
 import io
 import json
+import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyrank import HomPoly, bombieri_norm, max_coeff_norm, operator_norm, subspace_norm
+from polyrank import (HomPoly, OptimizerConfig, bombieri_norm, max_coeff_norm, operator_norm,
+                      subspace_norm)
 from polyrank.cli import main
+from polyrank.generators import bombieri_gaussian
+from polyrank.serialize import poly_to_dict
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -132,6 +137,38 @@ def test_degree2_maxima_scale_by_powers_of_two(p, k, j):
     assert operator_norm(q).value == pytest.approx(s * operator_norm(p).value, rel=1e-14)
     assert subspace_norm(q, j).value == pytest.approx(s * subspace_norm(p, j).value,
                                                      rel=1e-14)
+
+
+@st.composite
+def _cubics(draw):
+    n = draw(st.integers(3, 5))
+    alphas = _exponents(n, 3).map(tuple)
+    return HomPoly(n, 3, draw(st.dictionaries(alphas, _wide_coeff, min_size=1, max_size=8)))
+
+
+@PROPERTY
+@given(_cubics(), st.integers(-600, 600))
+def test_degree3_subspace_norm_scales_exactly_by_powers_of_two(p, j):
+    # HOOI runs on the dense tensor scaled so its largest entry is in [0.5, 1),
+    # which is the same tensor for p and 2^j p
+    cfg = OptimizerConfig(restarts=2, max_iters=50)
+    fm, fm_q = subspace_norm(p, 2, cfg), subspace_norm(2.0 ** j * p, 2, cfg)
+    assert fm_q.value == math.ldexp(fm.value, j)
+    assert np.array_equal(fm_q.frame.basis, fm.frame.basis)
+
+
+@pytest.mark.parametrize("j", [600, -600])
+def test_cli_subnorm_degree3_at_extreme_scales(j):
+    # at 2^600 the squares of the frame value overflowed, at 2^-600 they
+    # vanished and the CLI printed 0
+    p = bombieri_gaussian(5, 3, np.random.default_rng(3))
+    argv = ["subnorm", "--k", "2", "--format", "json"]
+    outs = [_run_cli([argv[0], json.dumps(poly_to_dict(s * p))] + argv[1:])
+            for s in (1.0, 2.0 ** j)]
+    assert [code for code, _, _ in outs] == [0, 0]
+    assert [err for _, _, err in outs] == ["", ""]
+    value, scaled = (json.loads(out)["value"] for _, out, _ in outs)
+    assert scaled == math.ldexp(value, j)
 
 
 def test_tiny_quadratic_is_maximized_at_its_own_scale():

@@ -274,6 +274,9 @@ def test_cli_concentrate_and_chain_check(tmp_path, capsys, rng):
                            capsys)
     assert code == 0
     assert out.strip().splitlines()[-1] == "overall PASS"
+    # no maximizer runs, so the optimizer flags change nothing
+    assert run_cli(["chain-check", str(poly_path), "--report", str(report_path),
+                    "--seed", "2", "--restarts", "100000000000"], capsys) == (0, out, "")
     # tampering with the report must surface as a FAIL exit
     obj = json.loads(report_path.read_text())
     obj["per_alpha"] = [{"alpha": e["alpha"], "value": e["value"] + 1.0}
@@ -300,6 +303,28 @@ def test_cli_chain_check_rejects_mistyped_report(tmp_path, capsys, rng):
         assert code == 1
         assert out == ""
         assert err.startswith("error: bad report:")
+
+
+def test_cli_chain_check_refuses_a_bad_witness_frame(tmp_path, capsys, rng):
+    # a report without the right end's witness, or with one of the wrong
+    # dimension, is refused with one line, as a malformed report is
+    p = bombieri_gaussian(5, 3, rng)
+    poly_path = tmp_path / "p.json"
+    poly_path.write_text(poly_dumps(p))
+    rep = report_to_dict(concentrate(p, 0.8, OptimizerConfig(restarts=4, seed=1),
+                                     eps_inner=0.45))
+    m = rep["frame_v"]["k"]
+    wrong_k = {"n": 5, "k": m + 1, "basis": np.eye(5)[:, :m + 1].tolist()}
+    no_witness = {key: value for key, value in rep.items() if key != "rhs_frame"}
+    report_path = tmp_path / "rep.json"
+    for doc, message in ((no_witness, "error: bad report: 'rhs_frame'"),
+                         ({**rep, "rhs_frame": wrong_k}, "error: report witness frame")):
+        report_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["chain-check", str(poly_path), "--report",
+                                  str(report_path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("c", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
