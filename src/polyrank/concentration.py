@@ -8,14 +8,16 @@ exactly when p lives in the head variables.
 
 `concentrate` makes the defect small constructively: greedily approximate p by
 a short sum of d-th powers, rotate the span of the power directions onto the
-first k coordinates, and then certify a chain of inequalities that bounds the
-defect by d! times the squared subspace-norm error of the approximation,
-evaluated on an explicit frame V containing the head coordinates and one
-maximizer direction per tail part.  The report keeps the frame of dimension
-dim V at which that error norm was found (the right end's witness).
-`verify_chain` recomputes every link of the chain from the original form,
-evaluating both ends at the report's witnesses (the left end at its maximizer
-directions, the right end at its witness frame) rather than searching again.
+first k coordinates (by the greedy directions orthonormalized in greedy order;
+any orthonormal basis of the span serves), and then certify a chain of
+inequalities that bounds the defect by d! times the squared subspace-norm
+error of the approximation, evaluated on an explicit frame V containing the
+head coordinates and one maximizer direction per tail part.  The report keeps
+the frame of dimension dim V at which that error norm was found (the right
+end's witness).  `verify_chain` recomputes every link of the chain from the
+original form, evaluating both ends at the report's witnesses (the left end at
+its maximizer directions, the right end at its witness frame) rather than
+searching again.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, complete_orthogonal
+from .frames import Frame, complete_orthogonal, gram_schmidt
 from .lowrank import LowRankApprox, greedy_approximate, reconstruct
 from .poly import (
     HomPoly,
@@ -159,10 +161,13 @@ class ChainValues:
 class ConcentrationReport:
     """What `concentrate` found, with the witnesses `verify_chain` checks.
 
-    z_alpha holds the unit maximizer of each low-weight tail part, whose
-    squared values are per_alpha.  rhs_frame is the frame of dimension dim V
-    whose projected error norm gives chain.rhs_bound: the subspace-norm
-    maximizer's frame, or V itself when k = 0, dim V = n or p = q.
+    rotation is orthogonal; its first k columns are the greedy directions
+    orthonormalized in greedy order (a direction within 1e-10 of the span of
+    the earlier ones is dropped), the rest complete them.  z_alpha holds the
+    unit maximizer of each low-weight tail part, whose squared values are
+    per_alpha.  rhs_frame is the frame of dimension dim V whose projected
+    error norm gives chain.rhs_bound: the subspace-norm maximizer's frame, or
+    V itself when k = 0, dim V = n or p = q.
     """
 
     k: int
@@ -207,18 +212,15 @@ def _alpha_parts_norm_sq(p: HomPoly, k: int) -> float:
 
 
 def _build_v_frame(n: int, k: int, z_alpha: dict) -> Frame:
-    cols = [np.eye(n)[:, i] for i in range(k)]
+    """V: the head coordinates, then each maximizer lifted into the tail
+    coordinates in sorted head order, orthonormalized."""
+    vectors = [np.eye(n)[:, i] for i in range(k)]
     for head in sorted(z_alpha):
-        z = z_alpha[head]
         v = np.zeros(n)
-        v[k:] = z
-        for _ in range(2):
-            for c in cols:
-                v -= (c @ v) * c
-        norm = np.linalg.norm(v)
-        if norm > _RANK_TOL:
-            cols.append(v / norm)
-    return Frame(n=n, k=len(cols), basis=np.stack(cols, axis=1))
+        v[k:] = z_alpha[head]
+        vectors.append(v)
+    basis = gram_schmidt(vectors, _RANK_TOL)
+    return Frame(n=n, k=basis.shape[1], basis=basis)
 
 
 def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
@@ -226,10 +228,10 @@ def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
     """Rotate p so its defect at a small head size is controlled.
 
     Pipeline: greedily approximate p at tolerance eps/d! (or eps_inner when
-    given), take the span of the power directions, rotate it onto the leading
-    coordinates, measure the defect there, and fill in the full inequality
-    chain with an explicit frame V built from the head coordinates plus the
-    per-part maximizer directions.
+    given), orthonormalize the power directions in greedy order, rotate their
+    span onto the leading coordinates, measure the defect there, and fill in
+    the full inequality chain with an explicit frame V built from the head
+    coordinates plus the per-part maximizer directions.
 
     When the greedy loop returns no terms the report has k = 0 and the defect
     degenerates to the squared sphere max of the whole form.  That maximum is
@@ -251,14 +253,9 @@ def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
     input_norm = approx.input_norm
 
     if approx.terms:
-        D = np.stack([t.u for t in approx.terms], axis=1)
-        # Imported here, not at module top: importing scipy.linalg is most of
-        # a CLI command's start-up time, and only this pivoted QR needs it.
-        import scipy.linalg
-
-        Q, R, _ = scipy.linalg.qr(D, mode="economic", pivoting=True)
-        k = int(np.sum(np.abs(np.diag(R)) > _RANK_TOL))
-        rotation = complete_orthogonal(Q[:, :k])
+        head = gram_schmidt([t.u for t in approx.terms], _RANK_TOL)
+        k = head.shape[1]
+        rotation = complete_orthogonal(head)
         p_rot = apply_orthogonal(p, rotation)
     else:
         # no greedy step: the rotation is the identity, and the greedy
@@ -462,7 +459,11 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
 
     mid3 = fact * bombieri_norm(p_v - q_rot) ** 2
     mid4 = fact * bombieri_norm(project_subspace(diff_pq, frame_v)) ** 2
-    rhs_bound = fact * bombieri_norm(project_subspace(diff_pq, rhs_frame)) ** 2
+    if np.array_equal(rhs_frame.basis, frame_v.basis):
+        # the witness is V itself (every k = 0 report, dim V = n, p = q)
+        rhs_bound = mid4
+    else:
+        rhs_bound = fact * bombieri_norm(project_subspace(diff_pq, rhs_frame)) ** 2
 
     budget = frame_budget(k, d)
     checks["dim_within_budget"] = frame_v.k <= budget

@@ -25,8 +25,10 @@ from polyrank import (
     subspace_norm,
     verify_chain,
 )
-from polyrank import sphere
-from polyrank.frames import Frame, coordinate_frame, random_orthogonal
+from polyrank import concentration, sphere
+from polyrank.frames import Frame, coordinate_frame, gram_schmidt, random_orthogonal
+from polyrank.lowrank import LowRankApprox
+from polyrank.sphere import Rank1Term
 from polyrank.serialize import dumps_canonical, report_from_dict, report_to_dict
 from polyrank.generators import bombieri_gaussian, planted_lowrank
 
@@ -241,6 +243,38 @@ def test_concentrate_rotation_preserves_norms(rng):
     assert bombieri_norm(p_rot - q_rot) == pytest.approx(bombieri_norm(p - q), rel=1e-7, abs=1e-9)
 
 
+def test_concentrate_head_basis_is_the_greedy_directions_in_order():
+    p = planted_lowrank(6, 3, 3, np.random.default_rng(0), noise=0.05)
+    rep = concentrate(p, 0.9, CFG, eps_inner=0.2)
+    us = [t.u for t in rep.approx.terms]
+    assert rep.k >= 2
+    assert np.array_equal(rep.rotation[:, :rep.k], gram_schmidt(us, concentration._RANK_TOL))
+    assert np.allclose(rep.rotation[:, 0], us[0], rtol=0, atol=1e-15)
+
+
+def test_concentrate_drops_a_dependent_greedy_direction(monkeypatch, rng):
+    # a third direction inside the span of the first two adds nothing to the
+    # head: k = 2, and the chain still holds with all three terms in q
+    n, d = 5, 3
+    u1, u2 = random_orthogonal(n, rng)[:, :2].T
+    u3 = (u1 + u2) / np.linalg.norm(u1 + u2)
+    terms = tuple(Rank1Term(lam=lam, u=u) for lam, u in zip((3.0, 2.0, 1.0), (u1, u2, u3)))
+    p = 0.05 * bombieri_gaussian(n, d, rng)
+    for t in terms:
+        p = p + t.lam * pow_linear(t.u, d)
+    norm = bombieri_norm(p)
+
+    def fake_greedy(q, eps, cfg=None):
+        return LowRankApprox(terms=terms, residual_bombieri=(norm,) * 4,
+                             residual_opnorm_est=(norm,) * 4, eps=eps,
+                             input_norm=norm, n=n, d=d)
+
+    monkeypatch.setattr(concentration, "greedy_approximate", fake_greedy)
+    rep = concentrate(p, 0.9, CFG, eps_inner=0.2)
+    assert rep.k == 2
+    assert verify_chain(p, rep, CFG).passed
+
+
 def test_concentrate_preconditions():
     with pytest.raises(ValueError):
         concentrate(hard_family(3), 0.0, CFG)
@@ -336,6 +370,21 @@ def test_verify_chain_runs_no_maximizer(monkeypatch):
         assert chk.passed
         assert chk.checks["rhs_consistent"]
     assert calls == []
+
+
+def test_verify_chain_projects_once_when_the_witness_is_v(monkeypatch):
+    (p0, rep0), (p1, rep1) = _cubic_reports()
+    frames = []
+    project = concentration.project_subspace
+    monkeypatch.setattr(concentration, "project_subspace",
+                        lambda q, f: frames.append(f) or project(q, f))
+    chk0 = verify_chain(p0, rep0, CFG)
+    # p_rot and p - q onto V, and no third projection for the witness
+    assert len(frames) == 2 and all(f is rep0.frame_v for f in frames)
+    assert chk0.values.rhs_bound == chk0.values.mid4
+    frames.clear()
+    verify_chain(p1, rep1, CFG)
+    assert len(frames) == 3 and frames[-1] is rep1.rhs_frame
 
 
 def test_concentrate_witness_gives_its_rhs_bound():

@@ -525,23 +525,23 @@ print(json.dumps(steps))
 
 
 def test_cli_cold_start_leaves_scipy_unloaded(tmp_path):
-    # importing scipy.linalg is most of a command's start-up time, and only
-    # the pivoted QR in concentrate needs it; a fresh interpreter is required
-    # because this process may already hold scipy
+    # polyrank needs only numpy, and importing scipy.linalg would be most of a
+    # command's start-up time; a fresh interpreter is required because this
+    # process may already hold scipy
     form, report = tmp_path / "p.json", tmp_path / "rep.json"
     fixed = ["--seed", "5", "--restarts", "6"]
     assert main(["gen", "--n", "5", "--d", "2", "--out", str(form)] + fixed) == 0
     assert main(["concentrate", str(form), "--eps", "0.8", "--eps-inner", "0.45",
                  "--format", "json", "--out", str(report)] + fixed) == 0
-    assert json.loads(report.read_text())["approx"]["terms"], "QR branch not reached"
+    assert json.loads(report.read_text())["k"] >= 1, "rotation branch not reached"
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(form), str(report)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)
     assert steps[0] == ["import", 0, False]
-    assert steps[1:-1] == [[name, 0, False] for name in
-                           ("gen", "norm", "opnorm", "subnorm", "approx", "chain-check")]
-    assert steps[-1] == ["concentrate", 0, True]
+    assert steps[1:] == [[name, 0, False] for name in
+                         ("gen", "norm", "opnorm", "subnorm", "approx", "chain-check",
+                          "concentrate")]
 
 
 def test_cli_entrypoint_subprocess():
