@@ -57,15 +57,12 @@ def _config(args, n: int, k: int | None = None, d: int = 2) -> sphere.OptimizerC
     if size > _BENCH_TERM_LIMIT:
         raise CliError(f"--restarts {args.restarts} at n={n} would need start arrays of "
                        f"{size} entries; refusing above {_BENCH_TERM_LIMIT}")
-    try:
-        return sphere.OptimizerConfig(
-            restarts=args.restarts,
-            max_iters=args.max_iters,
-            tol=args.tol,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return sphere.OptimizerConfig(
+        restarts=args.restarts,
+        max_iters=args.max_iters,
+        tol=args.tol,
+        seed=args.seed,
+    )
 
 
 def _emit(args, payload: dict, text_lines: list) -> None:
@@ -127,10 +124,7 @@ def cmd_opnorm(args) -> int:
         payload = {"value": value, "method": "oracle"}
         lines = [f"opnorm {_sig12(value)} (oracle)"]
     else:
-        try:
-            sm = sphere.operator_norm(p, _config(args, p.n, d=p.d))
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        sm = sphere.operator_norm(p, _config(args, p.n, d=p.d))
         payload = serialize.sphere_max_to_dict(sm)
         payload["method"] = _engine(p)
         lines = [f"opnorm {_sig12(sm.value)}",
@@ -155,10 +149,7 @@ def cmd_subnorm(args) -> int:
         payload = {"value": value, "k": args.k, "method": "oracle"}
         lines = [f"subnorm {_sig12(value)} (oracle)"]
     else:
-        try:
-            fm = sphere.subspace_norm(p, args.k, _config(args, p.n, k=args.k, d=p.d))
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        fm = sphere.subspace_norm(p, args.k, _config(args, p.n, k=args.k, d=p.d))
         payload = serialize.frame_max_to_dict(fm)
         payload["k"] = args.k
         payload["method"] = _engine(p, args.k)
@@ -172,10 +163,7 @@ def cmd_approx(args) -> int:
     p = _load_poly(args.input)
     if args.eps is None:
         raise CliError("approx requires --eps")
-    try:
-        approx = lowrank.greedy_approximate(p, args.eps, _config(args, p.n, d=p.d))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    approx = lowrank.greedy_approximate(p, args.eps, _config(args, p.n, d=p.d))
     bound = lowrank.step_bound(args.eps)
     payload = serialize.approx_to_dict(approx)
     payload["bound_floor_inv_eps_sq"] = bound
@@ -196,11 +184,8 @@ def cmd_concentrate(args) -> int:
     p = _load_poly(args.input)
     if args.eps is None:
         raise CliError("concentrate requires --eps")
-    try:
-        report = concentration.concentrate(p, args.eps, _config(args, p.n, d=p.d),
-                                           eps_inner=args.eps_inner)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = concentration.concentrate(p, args.eps, _config(args, p.n, d=p.d),
+                                       eps_inner=args.eps_inner)
     payload = serialize.report_to_dict(report)
     cv = report.chain
     lines = [
@@ -226,11 +211,8 @@ def cmd_chain_check(args) -> int:
     except (json.JSONDecodeError, KeyError, ValueError, TypeError, AttributeError,
             RecursionError) as exc:
         raise CliError(f"bad report: {exc}") from exc
-    try:
-        # verify_chain runs no maximizer, so the optimizer flags are not read
-        check = concentration.verify_chain(p, report)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    # verify_chain runs no maximizer, so the optimizer flags are not read
+    check = concentration.verify_chain(p, report)
     payload = {
         "passed": check.passed,
         "tol": check.tol,
@@ -282,7 +264,7 @@ def cmd_gen(args) -> int:
     elif model == "bombieri-gaussian":
         p = generators.bombieri_gaussian(args.n, args.d, rng)
     elif model == "sparse":
-        nterms = args.nterms if args.nterms else max(2, 2 * args.n)
+        nterms = max(2, 2 * args.n) if args.nterms is None else args.nterms
         p = generators.sparse_gaussian(args.n, args.d, nterms, rng)
     elif model == "planted-lowrank":
         p = generators.planted_lowrank(args.n, args.d, rank, rng, noise=args.noise)
@@ -292,8 +274,8 @@ def cmd_gen(args) -> int:
             "(choose bombieri-gaussian, sparse, hard-family, planted-lowrank)"
         )
     payload = serialize.poly_to_dict(p)
-    lines = [serialize.poly_dumps(p)]
-    _emit(args, payload, lines)
+    # the text form is the same canonical JSON: dump it once, for text alone
+    _emit(args, payload, [] if args.format == "json" else [serialize.dumps_canonical(payload)])
     return 0
 
 
@@ -360,11 +342,7 @@ def cmd_bench(args) -> int:
 def cmd_ratio_probe(args) -> int:
     if args.k is None:
         raise CliError("ratio-probe requires --k")
-    try:
-        ratio = sphere.norm_ratio_probe(args.d, args.k, args.n, args.samples,
-                                        seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    ratio = sphere.norm_ratio_probe(args.d, args.k, args.n, args.samples, seed=args.seed)
     payload = {"d": args.d, "k": args.k, "n": args.n,
                "samples": args.samples, "max_ratio": ratio}
     lines = [f"max_ratio {_sig12(ratio)}"]
@@ -463,10 +441,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
+        # a library ValueError is a precondition error too: one line, exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

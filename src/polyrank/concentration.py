@@ -374,9 +374,9 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
     middle scaling step is additionally verified at the level of exact integer
     monomial weights, and the right end is the projected error norm at the
     report's witness frame rhs_frame, a certified lower bound on the subspace
-    norm at dim V.  Each end must also match the value the report states
-    (per_alpha_consistent, rhs_consistent).  cfg is accepted for callers that
-    pass one and changes nothing.
+    norm at dim V.  Each end must also match the value x the report states
+    to within 1e-9 (|x| + ||p||_B^2) (per_alpha_consistent, rhs_consistent).
+    cfg is accepted for callers that pass one and changes nothing.
     """
     n, d = p.n, p.d
     fact = float(math.factorial(d))
@@ -393,8 +393,8 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
     if rhs_frame.n != n or rhs_frame.k != frame_v.k:
         raise ValueError("report witness frame does not match the dimensions of its frame V")
 
-    input_norm = bombieri_norm(p)
-    tol = 1e-6 * input_norm ** 2
+    norm_sq = bombieri_norm(p) ** 2
+    tol = 1e-6 * norm_sq
     # the identity (every k = 0 report) leaves p as it is, as in concentrate
     identity = np.array_equal(rotation, np.eye(n))
     p_rot = p if identity else apply_orthogonal(p, rotation)
@@ -423,7 +423,7 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
             units_ok = False
         val = evaluate(part, z) ** 2
         lhs += val
-        if abs(val - report.per_alpha[head]) > 1e-9 * (1.0 + abs(val)):
+        if abs(val - report.per_alpha[head]) > 1e-9 * (abs(val) + norm_sq):
             consistent_ok = False
         lifted = np.zeros(n)
         lifted[k:] = z
@@ -454,7 +454,7 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
     checks["head_weights_bounded_by_d_factorial"] = weights_ok
     mid2 = fact * bombieri_norm(diff_vu) ** 2
     checks["weighted_sum_matches_norm"] = (
-        abs(mid2 - mid2_weights) <= 1e-9 * (1.0 + abs(mid2))
+        abs(mid2 - mid2_weights) <= 1e-9 * (abs(mid2) + norm_sq)
     )
 
     mid3 = fact * bombieri_norm(p_v - q_rot) ** 2
@@ -468,7 +468,7 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
     budget = frame_budget(k, d)
     checks["dim_within_budget"] = frame_v.k <= budget
     checks["rhs_consistent"] = (
-        abs(rhs_bound - report.chain.rhs_bound) <= 1e-9 * (1.0 + abs(rhs_bound))
+        abs(rhs_bound - report.chain.rhs_bound) <= 1e-9 * (abs(rhs_bound) + norm_sq)
     )
 
     links = (

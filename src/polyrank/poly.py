@@ -72,6 +72,13 @@ def num_exponents(n: int, d: int) -> int:
     return math.comb(n + d - 1, d)
 
 
+def _check_shape(n: int, d: int) -> None:
+    if n < 1:
+        raise ValueError("need at least one variable")
+    if not 1 <= d <= MAX_DEGREE:
+        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {d}")
+
+
 @dataclass(frozen=True)
 class HomPoly:
     """Canonical sparse d-homogeneous polynomial in n variables.
@@ -86,10 +93,7 @@ class HomPoly:
     terms: dict
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one variable")
-        if not 1 <= self.d <= MAX_DEGREE:
-            raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {self.d}")
+        _check_shape(self.n, self.d)
         clean = {}
         for alpha, c in self.terms.items():
             alpha = tuple(int(a) for a in alpha)
@@ -352,9 +356,22 @@ def poly_from_dense(T: np.ndarray, prune_tol: float = 0.0) -> HomPoly:
     combos, flat, mult = _exponent_table(n, d)
     coef = np.ravel(T)[flat] * mult
     keep = np.flatnonzero(np.abs(coef) > prune_tol)
-    alphas = np.zeros((len(keep), n), dtype=np.int8)
-    np.add.at(alphas, (np.arange(len(keep))[:, None], combos[keep]), 1)
-    return HomPoly._trusted(n, d, dict(zip(map(tuple, alphas.tolist()), coef[keep].tolist())))
+    return _poly_from_table(n, d, combos[keep], coef[keep])
+
+
+def _poly_from_table(n: int, d: int, combos: np.ndarray, coef: np.ndarray) -> HomPoly:
+    """The form with coefficient coef[i] on the monomial whose ascending index
+    tuple is combos[i], its terms in row order.  Exponent rows are expanded
+    and converted in blocks of about 2**16 entries, so no whole-table list of
+    lists is ever alive."""
+    keys = []
+    step = max(1, (1 << 16) // n)
+    for s in range(0, len(combos), step):
+        block = combos[s:s + step]
+        alphas = np.zeros((len(block), n), dtype=np.int8)
+        np.add.at(alphas, (np.arange(len(block))[:, None], block), 1)
+        keys.extend(map(tuple, alphas.tolist()))
+    return HomPoly._trusted(n, d, dict(zip(keys, coef.tolist())))
 
 
 def _mul_terms(a: dict, b: dict) -> dict:

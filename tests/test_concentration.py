@@ -427,6 +427,25 @@ def test_verify_chain_refuses_a_misstated_rhs_bound():
         assert not bad.passed
 
 
+CHAIN_CFG = OptimizerConfig(restarts=6, max_iters=150, tol=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("scale", [-300, 0, 300])
+def test_verify_chain_refuses_tampered_values_at_every_scale(d, scale):
+    # the consistency tolerances scale with ||p||_B^2: an absolute floor of
+    # 1e-9 let a tripled per_alpha and a fivefold rhs_bound through at 2^-300
+    p = math.ldexp(1.0, scale) * bombieri_gaussian(5, d, np.random.default_rng(3))
+    rep = concentrate(p, 0.9, CHAIN_CFG, eps_inner=0.45)
+    assert rep.per_alpha and rep.chain.rhs_bound > 0
+    assert verify_chain(p, rep).passed
+    tripled = dataclasses.replace(rep, per_alpha={h: 3 * v for h, v in rep.per_alpha.items()})
+    bad = verify_chain(p, tripled)
+    assert not bad.checks["per_alpha_consistent"] and not bad.passed
+    bad = verify_chain(p, _with_witness(rep, rep.rhs_frame, 5 * rep.chain.rhs_bound))
+    assert not bad.checks["rhs_consistent"] and not bad.passed
+
+
 def test_verify_chain_rejects_a_witness_of_the_wrong_shape():
     for p, rep in _cubic_reports():
         n, m = p.n, rep.frame_v.k

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from polyrank import OptimizerConfig, bombieri_norm, concentrate, greedy_approximate
-from polyrank import generators
+from polyrank import generators, serialize
 from polyrank.cli import main
 from polyrank.generators import bombieri_gaussian
 from polyrank.lowrank import hard_family
@@ -252,6 +252,26 @@ def test_cli_gen_planted_roundtrip(capsys):
     a = greedy_approximate(p, 0.5, OptimizerConfig(restarts=6, seed=0))
     assert len(a.terms) == 1
     assert a.residual_opnorm_est[-1] <= 1e-6
+
+
+def test_cli_gen_serializes_once(monkeypatch, capsys):
+    # a large form costs seconds per canonical dump; text and json print the same bytes
+    dumps = serialize.dumps_canonical
+    top_level = []
+
+    def counting(obj, indent=0):
+        if indent == 0:
+            top_level.append(obj)
+        return dumps(obj, indent)
+
+    monkeypatch.setattr(serialize, "dumps_canonical", counting)
+    outs = []
+    for fmt in ("json", "text"):
+        top_level.clear()
+        assert main(["gen", "--n", "5", "--d", "3", "--format", fmt]) == 0
+        outs.append(capsys.readouterr().out)
+        assert len(top_level) == 1
+    assert outs[0] == outs[1]
 
 
 def test_cli_gen_bad_model(capsys):
