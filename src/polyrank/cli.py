@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import concentration, generators, lowrank, serialize, sphere
-from .poly import bombieri_norm, max_coeff_norm, num_exponents, quadratic_matrix
+from .poly import MAX_DEGREE, bombieri_norm, max_coeff_norm, num_exponents, quadratic_matrix
 
 _BENCH_TERM_LIMIT = 10_000_000
 
@@ -250,6 +250,11 @@ def _parse_model(args):
 
 def cmd_gen(args) -> int:
     model, rank = _parse_model(args)
+    # the shape before the size guards, whose math.comb would name no flag
+    if args.n < 1:
+        raise CliError(f"--n must be at least 1, got {args.n}")
+    if model != "hard-family" and not 1 <= args.d <= MAX_DEGREE:
+        raise CliError(f"--d must be in 1..{MAX_DEGREE}, got {args.d}")
     if model in ("bombieri-gaussian", "planted-lowrank"):
         size = num_exponents(args.n, args.d)
         if size > _BENCH_TERM_LIMIT:
@@ -342,7 +347,8 @@ def cmd_bench(args) -> int:
 def cmd_ratio_probe(args) -> int:
     if args.k is None:
         raise CliError("ratio-probe requires --k")
-    ratio = sphere.norm_ratio_probe(args.d, args.k, args.n, args.samples, seed=args.seed)
+    ratio = sphere.norm_ratio_probe(args.d, args.k, args.n, args.samples, seed=args.seed,
+                                    cfg=_config(args, args.n, k=args.k, d=args.d))
     payload = {"d": args.d, "k": args.k, "n": args.n,
                "samples": args.samples, "max_ratio": ratio}
     lines = [f"max_ratio {_sig12(ratio)}"]

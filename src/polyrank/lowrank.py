@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .poly import HomPoly, bombieri_norm, evaluate, pow_linear, zero_poly
+import numpy as np
+
+from .poly import HomPoly, _poly_from_table, bombieri_norm, evaluate, pow_linear, zero_poly
 from .sphere import OptimizerConfig, Rank1Term, SphereMax, operator_norm
 
 
@@ -108,9 +110,4 @@ def hard_family(n: int) -> HomPoly:
     cannot be dimension-free, while its sphere max is just 1."""
     if n < 1:
         raise ValueError("need at least one variable")
-    terms = {}
-    for i in range(n):
-        alpha = [0] * n
-        alpha[i] = 2
-        terms[tuple(alpha)] = 1.0
-    return HomPoly(n, 2, terms)
+    return _poly_from_table(n, 2, np.repeat(np.arange(n), 2).reshape(n, 2), np.ones(n))

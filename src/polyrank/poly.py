@@ -257,25 +257,22 @@ def max_coeff_norm(p: HomPoly) -> float:
 
 
 def pow_linear(u, d: int) -> HomPoly:
-    """Expand (u . x)^d with exact multinomial coefficients."""
+    """Expand (u . x)^d with exact multinomial coefficients, over the support of u."""
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size < 1:
         raise ValueError("direction must be a nonempty vector")
     if not np.any(u):
         raise ValueError("cannot raise the zero linear form to a power")
-    n = u.size
-    support = [i for i in range(n) if u[i] != 0.0]
-    terms = {}
-    for combo in combinations_with_replacement(support, d):
-        alpha = [0] * n
-        for i in combo:
-            alpha[i] += 1
-        coeff = float(_multinomial_cached(d, tuple(alpha)))
-        for i in support:
-            if alpha[i]:
-                coeff *= u[i] ** alpha[i]
-        terms[tuple(alpha)] = float(coeff)
-    return HomPoly._trusted(n, d, terms)
+    _check_shape(u.size, d)
+    support = np.flatnonzero(u)
+    combos, _, coef = _exponent_table(len(support), d)
+    pw = np.array([[u[i] ** a for a in range(d + 1)] for i in support])
+    # multinomial * u[i] ** alpha_i in ascending i, where i's run starts in the row
+    for k in range(d):
+        alpha = (combos == combos[:, k:k + 1]).sum(axis=1)
+        starts = k == 0 or combos[:, k] != combos[:, k - 1]
+        coef = coef * np.where(starts, pw[combos[:, k], alpha], 1.0)
+    return _poly_from_table(u.size, d, support[combos], coef)
 
 
 def restrict_zero(p: HomPoly, keep) -> HomPoly:
@@ -291,8 +288,8 @@ def restrict_zero(p: HomPoly, keep) -> HomPoly:
     return HomPoly._trusted(p.n, p.d, terms)
 
 
-def _sorted_flat_index(n: int, d: int, combos: np.ndarray) -> np.ndarray:
-    """Flat index, in an n**d tensor, of each row of ascending variable indices."""
+def _flat_index(n: int, d: int, combos: np.ndarray) -> np.ndarray:
+    """Flat index, in an n**d tensor, of each row of d variable indices."""
     return combos @ (n ** np.arange(d - 1, -1, -1, dtype=np.int64))
 
 
@@ -310,12 +307,9 @@ def dense_tensor(p: HomPoly) -> np.ndarray:
     if size > _DENSE_LIMIT:
         raise ValueError(f"dense tensor would need {size} entries (limit {_DENSE_LIMIT})")
     T = np.zeros(size)
-    if p.terms:
-        # each monomial's value goes to its ascending index tuple ...
-        A = np.array(list(p.terms), dtype=np.int64).reshape(len(p.terms), n)
-        combos = np.repeat(np.tile(np.arange(n), len(A)), A.ravel()).reshape(len(A), d)
-        T[_sorted_flat_index(n, d, combos)] = [
-            c / _multinomial_cached(d, alpha) for alpha, c in p.terms.items()]
+    # each monomial's value goes to its ascending index tuple ...
+    T[_flat_index(n, d, _index_tuples(p))] = [
+        c / _multinomial_cached(d, alpha) for alpha, c in p.terms.items()]
     T = T.reshape((n,) * d)
     # ... and on to every permutation of that tuple: a bubble-sort network of
     # compare-swaps maps each index tuple to its ascending one, so running it
@@ -343,7 +337,14 @@ def _exponent_table(n: int, d: int):
     for k in range(1, d):
         rank[:, k] = np.where(combos[:, k] == combos[:, k - 1], rank[:, k - 1] + 1, 1)
     mult = (math.factorial(d) // np.prod(rank, axis=1)).astype(float)
-    return combos, _sorted_flat_index(n, d, combos), mult
+    return combos, _flat_index(n, d, combos), mult
+
+
+def _index_tuples(p: HomPoly) -> np.ndarray:
+    """The ascending variable-index tuple of each monomial of p, in term order:
+    alpha repeats variable i alpha_i times."""
+    A = np.array(list(p.terms), dtype=np.int64).reshape(len(p.terms), p.n)
+    return np.repeat(np.tile(np.arange(p.n), len(A)), A.ravel()).reshape(len(A), p.d)
 
 
 def poly_from_dense(T: np.ndarray, prune_tol: float = 0.0) -> HomPoly:
@@ -361,15 +362,17 @@ def poly_from_dense(T: np.ndarray, prune_tol: float = 0.0) -> HomPoly:
 
 def _poly_from_table(n: int, d: int, combos: np.ndarray, coef: np.ndarray) -> HomPoly:
     """The form with coefficient coef[i] on the monomial whose ascending index
-    tuple is combos[i], its terms in row order.  Exponent rows are expanded
-    and converted in blocks of about 2**16 entries, so no whole-table list of
-    lists is ever alive."""
+    tuple is combos[i], its terms in row order.  Zero rows are dropped, the
+    rest expanded to exponents in blocks of about 2**16 entries, so no
+    whole-table list of lists is ever alive."""
+    keep = np.flatnonzero(coef)
+    combos, coef = combos[keep], coef[keep]
     keys = []
     step = max(1, (1 << 16) // n)
     for s in range(0, len(combos), step):
         block = combos[s:s + step]
-        alphas = np.zeros((len(block), n), dtype=np.int8)
-        np.add.at(alphas, (np.arange(len(block))[:, None], block), 1)
+        flat = (np.arange(len(block))[:, None] * n + block).ravel()
+        alphas = np.bincount(flat, minlength=len(block) * n).reshape(len(block), n)
         keys.extend(map(tuple, alphas.tolist()))
     return HomPoly._trusted(n, d, dict(zip(keys, coef.tolist())))
 
@@ -447,34 +450,22 @@ def project_subspace(p: HomPoly, frame: Frame) -> HomPoly:
 
 
 def quadratic_matrix(p: HomPoly) -> np.ndarray:
-    """Symmetric matrix A with p(x) = x^T A x (degree-2 forms only)."""
+    """Symmetric matrix A with p(x) = x^T A x (d = 2 only), equal to dense_tensor(p)."""
     if p.d != 2:
         raise ValueError("quadratic_matrix needs a degree-2 form")
+    i, j = _index_tuples(p).T
     A = np.zeros((p.n, p.n))
-    for alpha, c in p.terms.items():
-        support = [i for i, a in enumerate(alpha) if a]
-        if len(support) == 1:
-            i = support[0]
-            A[i, i] = c
-        else:
-            i, j = support
-            A[i, j] = A[j, i] = c / 2.0
+    A[i, j] = A[j, i] = np.array(list(p.terms.values())) * np.where(i == j, 1.0, 0.5)
     return A
 
 
 def quadratic_poly(A: np.ndarray) -> HomPoly:
-    """Degree-2 form x^T A x for a symmetric matrix A."""
+    """Degree-2 form x^T A x for a symmetric matrix A with finite entries."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    if A.shape != (n, n) or np.max(np.abs(A - A.T)) > 1e-12 * (1.0 + np.max(np.abs(A))):
-        raise ValueError("matrix must be square and symmetric")
-    terms = {}
-    for i in range(n):
-        for j in range(i, n):
-            alpha = [0] * n
-            alpha[i] += 1
-            alpha[j] += 1
-            c = A[i, i] if i == j else 2.0 * A[i, j]
-            if c != 0.0:
-                terms[tuple(alpha)] = float(c)
-    return HomPoly(n, 2, terms)
+    if (A.shape != (n, n) or not np.isfinite(A).all()
+            or np.max(np.abs(A - A.T)) > 1e-12 * (1.0 + np.max(np.abs(A)))):
+        raise ValueError("matrix must be square, symmetric and finite")
+    i, j = np.triu_indices(n)
+    coef = np.where(i == j, A[i, j], 2.0 * A[i, j])
+    return _poly_from_table(n, 2, np.column_stack([i, j]), coef)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -80,15 +81,38 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _int_of(x, name: str) -> int:
+    if not _is_int(x):
+        raise ValueError(f"'{name}' must be an integer")
+    return x
+
+
+def _is_real(x) -> bool:
+    """A finite JSON number: not a bool, NaN, an infinity or an int beyond floats."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _real_of(x, name: str) -> float:
+    if not _is_real(x):
+        raise ValueError(f"'{name}' must be a finite number")
+    return float(x)
+
+
+def _reals_of(x, name: str, depth: int = 1) -> np.ndarray:
+    """A JSON list of finite numbers (depth 1) or of such lists (depth 2)."""
+    if not isinstance(x, list):
+        raise ValueError(f"'{name}' must be a list")
+    return np.array([_real_of(v, name) if depth == 1 else _reals_of(v, name) for v in x],
+                    dtype=float)
+
+
 def poly_from_dict(obj) -> HomPoly:
     if not isinstance(obj, dict):
         raise ValueError("polynomial JSON must be an object")
     for key in ("n", "d", "terms"):
         if key not in obj:
             raise ValueError(f"polynomial JSON is missing '{key}'")
-    n, d = obj["n"], obj["d"]
-    if not _is_int(n) or not _is_int(d):
-        raise ValueError("'n' and 'd' must be integers")
+    n, d = _int_of(obj["n"], "n"), _int_of(obj["d"], "d")
     if not isinstance(obj["terms"], list):
         raise ValueError("'terms' must be a list")
     terms: dict = {}
@@ -104,16 +128,9 @@ def poly_from_dict(obj) -> HomPoly:
         key = tuple(alpha)
         if key in terms:
             raise ValueError(f"term {i}: duplicate exponent {key}")
-        c = t["c"]
-        if not isinstance(c, (int, float)) or isinstance(c, bool):
+        if not _is_real(t["c"]) or t["c"] == 0:
             raise ValueError(f"term {i}: coefficient must be a finite nonzero number")
-        try:
-            c = float(c)
-        except OverflowError:
-            c = math.inf
-        if not math.isfinite(c) or c == 0.0:
-            raise ValueError(f"term {i}: coefficient must be a finite nonzero number")
-        terms[key] = c
+        terms[key] = float(t["c"])
     return HomPoly(n, d, terms)
 
 
@@ -163,8 +180,8 @@ def frame_to_dict(f: Frame) -> dict:
 
 
 def frame_from_dict(obj) -> Frame:
-    return Frame(n=int(obj["n"]), k=int(obj["k"]),
-                 basis=np.asarray(obj["basis"], dtype=float))
+    return Frame(n=_int_of(obj["n"], "n"), k=_int_of(obj["k"], "k"),
+                 basis=_reals_of(obj["basis"], "basis", 2))
 
 
 # ---------------------------------------------------------------------------
@@ -183,18 +200,19 @@ def approx_to_dict(a: LowRankApprox) -> dict:
 
 
 def approx_from_dict(obj) -> LowRankApprox:
-    terms = tuple(
-        Rank1Term(lam=float(t["lambda"]), u=np.asarray(t["u"], dtype=float))
-        for t in obj["terms"]
-    )
+    def reals(key):
+        return tuple(_reals_of(obj[key], key).tolist())
+
+    terms = tuple(Rank1Term(lam=_real_of(t["lambda"], "lambda"), u=_reals_of(t["u"], "u"))
+                  for t in obj["terms"])
     return LowRankApprox(
         terms=terms,
-        residual_bombieri=tuple(float(x) for x in obj["residual_bombieri"]),
-        residual_opnorm_est=tuple(float(x) for x in obj["residual_opnorm_est"]),
-        eps=float(obj["eps"]),
-        input_norm=float(obj["input_norm"]),
-        n=int(obj["n"]),
-        d=int(obj["d"]),
+        residual_bombieri=reals("residual_bombieri"),
+        residual_opnorm_est=reals("residual_opnorm_est"),
+        eps=_real_of(obj["eps"], "eps"),
+        input_norm=_real_of(obj["input_norm"], "input_norm"),
+        n=_int_of(obj["n"], "n"),
+        d=_int_of(obj["d"], "d"),
     )
 
 
@@ -214,16 +232,9 @@ def chain_to_dict(cv: ChainValues) -> dict:
 
 
 def chain_from_dict(obj) -> ChainValues:
-    dims = obj["dims"]
-    return ChainValues(
-        lhs=float(obj["lhs"]),
-        mid1=float(obj["mid1"]),
-        mid2=float(obj["mid2"]),
-        mid3=float(obj["mid3"]),
-        mid4=float(obj["mid4"]),
-        rhs_bound=float(obj["rhs_bound"]),
-        dims=(int(dims["head"]), int(dims["dim_v"]), int(dims["budget"])),
-    )
+    dims = tuple(_int_of(obj["dims"][key], key) for key in ("head", "dim_v", "budget"))
+    return ChainValues(**{key: _real_of(obj[key], key) for key in
+                          ("lhs", "mid1", "mid2", "mid3", "mid4", "rhs_bound")}, dims=dims)
 
 
 def report_to_dict(r: ConcentrationReport) -> dict:
@@ -247,22 +258,26 @@ def report_to_dict(r: ConcentrationReport) -> dict:
 
 
 def report_from_dict(obj) -> ConcentrationReport:
-    per_alpha = {tuple(e["alpha"]): float(e["value"]) for e in obj["per_alpha"]}
-    z_alpha = {tuple(e["alpha"]): np.asarray(e["z"], dtype=float)
-               for e in obj["z_alpha"]}
+    """The report concentrate wrote; a field of the wrong JSON type (a string, a
+    bool, a fraction for an integer, a non-finite number) raises ValueError."""
+    def alpha(e):
+        return tuple(_int_of(a, "alpha") for a in e["alpha"])
+
+    per_alpha = {alpha(e): _real_of(e["value"], "value") for e in obj["per_alpha"]}
+    z_alpha = {alpha(e): _reals_of(e["z"], "z") for e in obj["z_alpha"]}
     return ConcentrationReport(
-        k=int(obj["k"]),
-        rotation=np.asarray(obj["rotation"], dtype=float),
-        defect=float(obj["defect"]),
+        k=_int_of(obj["k"], "k"),
+        rotation=_reals_of(obj["rotation"], "rotation", 2),
+        defect=_real_of(obj["defect"], "defect"),
         per_alpha=per_alpha,
-        defect_inf=float(obj["defect_inf"]),
+        defect_inf=_real_of(obj["defect_inf"], "defect_inf"),
         chain=chain_from_dict(obj["chain"]),
         z_alpha=z_alpha,
         frame_v=frame_from_dict(obj["frame_v"]),
         rhs_frame=frame_from_dict(obj["rhs_frame"]),
         approx=approx_from_dict(obj["approx"]),
-        eps=float(obj["eps"]),
-        eps_inner=float(obj["eps_inner"]),
-        input_norm=float(obj["input_norm"]),
-        ratios={str(k): float(v) for k, v in obj["ratios"].items()},
+        eps=_real_of(obj["eps"], "eps"),
+        eps_inner=_real_of(obj["eps_inner"], "eps_inner"),
+        input_norm=_real_of(obj["input_norm"], "input_norm"),
+        ratios={str(k): _real_of(v, k) for k, v in obj["ratios"].items()},
     )

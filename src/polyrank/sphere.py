@@ -45,6 +45,8 @@ from .generators import bombieri_gaussian
 from .poly import (
     _DENSE_LIMIT,
     HomPoly,
+    _flat_index,
+    _index_tuples,
     bombieri_norm,
     dense_tensor,
     evaluate,
@@ -171,17 +173,6 @@ _BLOCK_FLOATS = 1 << 21
 _NEWTON_MAX_STEP = 1.0
 
 
-def _index_rows(alphas) -> list:
-    """Each monomial as the multiset of its variable indices (weight-many entries)."""
-    rows = []
-    for alpha in alphas:
-        row = []
-        for i, a in enumerate(alpha):
-            row.extend([i] * a)
-        rows.append(row)
-    return rows
-
-
 def _derivative_table(n: int, J: np.ndarray, c: np.ndarray, order: int):
     """Monomials of T x^(d - order), with T the symmetric tensor of
     sum_t c_t prod_a x[J[t, a]].
@@ -191,16 +182,13 @@ def _derivative_table(n: int, J: np.ndarray, c: np.ndarray, order: int):
     coefficient) rows, key being the flat index of the differentiated
     variables; equal (key, rest) rows are merged, sorted by key.
     """
-    t, d = J.shape
+    d = J.shape[1]
     tuples = list(itertools.permutations(range(d), order))
     if not tuples:
         return np.zeros(0, np.int64), np.zeros((0, 0), np.int64), np.zeros(0)
     keys, rests = [], []
     for pos in tuples:
-        key = np.zeros(t, np.int64)
-        for a in pos:
-            key = key * n + J[:, a]
-        keys.append(key)
+        keys.append(_flat_index(n, order, J[:, list(pos)]))
         rests.append(np.delete(J, pos, axis=1))
     rows = np.column_stack([np.concatenate(keys), np.concatenate(rests)])
     rows, inv = np.unique(rows, axis=0, return_inverse=True)
@@ -229,9 +217,8 @@ class _Form:
             self._row_floats = size // p.n
             return
         self.T = None
-        alphas = sorted(p.terms)
-        J = np.array(_index_rows(alphas), dtype=np.int64).reshape(len(alphas), p.d)
-        c = np.array([p.terms[a] for a in alphas])
+        # a derivative-table row comes from one term: the tables ignore term order
+        J, c = _index_tuples(p), np.array(list(p.terms.values()))
         var, self._Jg, self._cg = _derivative_table(p.n, J, c, 1)
         self._seg = np.flatnonzero(np.r_[True, var[1:] != var[:-1]])
         self._var = var[self._seg]
@@ -839,12 +826,14 @@ def subspace_norm(p: HomPoly, k: int, cfg: OptimizerConfig | None = None,
     )
 
 
-def norm_ratio_probe(d: int, k: int, n: int, samples: int, seed: int = 0) -> float:
+def norm_ratio_probe(d: int, k: int, n: int, samples: int, seed: int = 0,
+                     cfg: OptimizerConfig | None = None) -> float:
     """Largest observed ratio (k-subspace norm) / (sphere max) over random forms.
 
     A measurement, not a certificate: it lower-bounds the best constant tying
     the two norms together at this (d, k).  Restricted to oracle-sized
-    instances so the sphere max is trustworthy.
+    instances so the sphere max is trustworthy.  seed draws the forms; cfg
+    drives the subspace-norm maximizer at d >= 3 and 1 < k < n.
     """
     if not (d == 2 or n <= 3):
         raise ValueError("probe needs d = 2 or n <= 3 so the oracle applies")
@@ -869,7 +858,7 @@ def norm_ratio_probe(d: int, k: int, n: int, samples: int, seed: int = 0) -> flo
             elif k == n:
                 sub = bombieri_norm(p)
             else:
-                sub = subspace_norm(p, k).value
+                sub = subspace_norm(p, k, cfg).value
         if op > 0:
             best = max(best, sub / op)
     return best

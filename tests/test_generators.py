@@ -119,3 +119,25 @@ def test_cli_gen_refuses_bad_input_with_one_line(capsys, args):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "-3", "--d", "3"], "error: --n must be at least 1, got -3\n"),
+    (["--n", "0", "--d", "3"], "error: --n must be at least 1, got 0\n"),
+    (["--n", "4", "--d", "-1"], "error: --d must be in 1..20, got -1\n"),
+    (["--n", "4", "--d", "21"], "error: --d must be in 1..20, got 21\n"),
+    (["--model", "sparse", "--n", "-2", "--d", "3"], "error: --n must be at least 1, got -2\n"),
+    (["--model", "planted-lowrank", "--n", "4", "--d", "-1"],
+     "error: --d must be in 1..20, got -1\n"),
+    (["--model", "hard-family", "--n", "-1"], "error: --n must be at least 1, got -1\n"),
+])
+def test_cli_gen_names_the_flag_of_a_bad_shape(capsys, args, message):
+    # checked before the size guard, whose math.comb names no flag
+    assert main(["gen"] + args) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+
+
+def test_cli_gen_hard_family_ignores_d(capsys):
+    assert main(["gen", "--model", "hard-family", "--n", "3", "--d", "-1"]) == 0
+    assert '"d": 2' in capsys.readouterr().out

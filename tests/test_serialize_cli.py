@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from polyrank import OptimizerConfig, bombieri_norm, concentrate, greedy_approximate
-from polyrank import generators, serialize
+from polyrank import generators, serialize, sphere
 from polyrank.cli import main
 from polyrank.generators import bombieri_gaussian
 from polyrank.lowrank import hard_family
@@ -347,6 +347,64 @@ def test_cli_chain_check_refuses_a_bad_witness_frame(tmp_path, capsys, rng):
         assert err.startswith(message) and err.count("\n") == 1
 
 
+@pytest.fixture(scope="module")
+def degree3_report(tmp_path_factory):
+    """`gen --n 5 --d 3 --seed 4`, then `concentrate --eps 0.8 --eps-inner 0.45
+    --restarts 6`: k = 2 and dim V = 5."""
+    root = tmp_path_factory.mktemp("degree3")
+    poly_path, report_path = root / "p.json", root / "rep.json"
+    assert main(["gen", "--n", "5", "--d", "3", "--seed", "4", "--format", "json",
+                 "--out", str(poly_path)]) == 0
+    assert main(["concentrate", str(poly_path), "--eps", "0.8", "--eps-inner", "0.45",
+                 "--restarts", "6", "--format", "json", "--out", str(report_path)]) == 0
+    rep = json.loads(report_path.read_text())
+    assert (rep["k"], rep["chain"]["dims"]["dim_v"]) == (2, 5)
+    return poly_path, rep
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("k",), 2.9, "'k' must be an integer"),
+    (("k",), "2", "'k' must be an integer"),
+    (("k",), True, "'k' must be an integer"),
+    (("frame_v", "k"), 5.5, "'k' must be an integer"),
+    (("chain", "dims", "dim_v"), 5.7, "'dim_v' must be an integer"),
+    (("eps",), "0.8", "'eps' must be a finite number"),
+    (("defect",), False, "'defect' must be a finite number"),
+    (("chain", "lhs"), float("nan"), "'lhs' must be a finite number"),
+    (("approx", "residual_bombieri"), "1", "'residual_bombieri' must be a list"),
+    (("rotation", 0, 1), "0.5", "'rotation' must be a finite number"),
+    (("rhs_frame", "basis"), [1.0], "'basis' must be a list"),
+    (("per_alpha", 0, "alpha"), [0.5, 1], "'alpha' must be an integer"),
+])
+def test_cli_chain_check_refuses_mistyped_report_fields(tmp_path, capsys, degree3_report,
+                                                         path, value, message):
+    # the first five edits gave `overall PASS` while fields were coerced
+    poly_path, rep = degree3_report
+    rep = json.loads(json.dumps(rep))
+    *keys, last = path
+    field = rep
+    for key in keys:
+        field = field[key]
+    field[last] = value
+    report_path = tmp_path / "rep.json"
+    report_path.write_text(json.dumps(rep))
+    code, out, err = run_cli(["chain-check", str(poly_path), "--report", str(report_path)],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: bad report: {message}\n"
+
+
+def test_cli_chain_check_parses_a_valid_report_to_the_same_values(degree3_report):
+    # numbers written as 17-digit floats, or as integers where the float is
+    # integral, parse to the floats and ints the report was made of
+    _, rep = degree3_report
+    obj = report_from_dict(rep)
+    assert report_to_dict(obj) == rep
+    assert type(obj.k) is int and type(obj.eps) is float
+    assert all(type(x) is int for x in obj.chain.dims)
+    assert report_from_dict({**rep, "eps": 1}).eps == 1.0
+
+
 @pytest.mark.parametrize("c", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
                          ids=["nan", "inf", "-inf", "float-overflow", "int-overflow"])
 def test_cli_rejects_non_finite_coefficient(capsys, c):
@@ -517,6 +575,23 @@ def test_cli_ratio_probe(capsys):
                             "--samples", "5", "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["max_ratio"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_cli_ratio_probe_passes_the_optimizer_flags(monkeypatch, capsys):
+    seen = []
+    real = sphere.subspace_norm
+
+    def spy(p, k, cfg=None, extra_starts=()):
+        seen.append(cfg)
+        return real(p, k, cfg, extra_starts)
+
+    monkeypatch.setattr(sphere, "subspace_norm", spy)
+    code, out, _ = run_cli(["ratio-probe", "--d", "3", "--k", "2", "--n", "3",
+                            "--samples", "2", "--seed", "4", "--restarts", "3",
+                            "--max-iters", "7", "--tol", "1e-6"], capsys)
+    assert code == 0 and out.startswith("max_ratio ")
+    assert len(seen) == 2
+    assert all((c.restarts, c.max_iters, c.tol, c.seed) == (3, 7, 1e-6, 4) for c in seen)
 
 
 def test_cli_stdin_input(capsys, monkeypatch):
