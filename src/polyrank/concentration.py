@@ -375,8 +375,10 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
     monomial weights, and the right end is the projected error norm at the
     report's witness frame rhs_frame, a certified lower bound on the subspace
     norm at dim V.  Each end must also match the value x the report states
-    to within 1e-9 (|x| + ||p||_B^2) (per_alpha_consistent, rhs_consistent).
-    cfg is accepted for callers that pass one and changes nothing.
+    to within 1e-9 (|x| + ||p||_B^2) (per_alpha_consistent, rhs_consistent),
+    and so must the stated chain values lhs, mid1..mid4 and the defect, with
+    the stated dims equal (chain_consistent).  cfg is accepted for callers
+    that pass one and changes nothing.
     """
     n, d = p.n, p.d
     fact = float(math.factorial(d))
@@ -469,6 +471,13 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
     checks["dim_within_budget"] = frame_v.k <= budget
     checks["rhs_consistent"] = (
         abs(rhs_bound - report.chain.rhs_bound) <= 1e-9 * (abs(rhs_bound) + norm_sq)
+    )
+    stated = report.chain
+    checks["chain_consistent"] = (
+        tuple(stated.dims) == (k, frame_v.k, budget)
+        and all(abs(x - y) <= 1e-9 * (abs(x) + norm_sq) for x, y in (
+            (lhs, stated.lhs), (lhs, report.defect), (mid1, stated.mid1),
+            (mid2, stated.mid2), (mid3, stated.mid3), (mid4, stated.mid4)))
     )
 
     links = (

@@ -460,12 +460,18 @@ def quadratic_matrix(p: HomPoly) -> np.ndarray:
 
 
 def quadratic_poly(A: np.ndarray) -> HomPoly:
-    """Degree-2 form x^T A x for a symmetric matrix A with finite entries."""
+    """Degree-2 form x^T A x for a symmetric matrix A with finite entries
+    whose off-diagonal entries, doubled, stay finite."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    if (A.shape != (n, n) or not np.isfinite(A).all()
-            or np.max(np.abs(A - A.T)) > 1e-12 * (1.0 + np.max(np.abs(A)))):
-        raise ValueError("matrix must be square, symmetric and finite")
     i, j = np.triu_indices(n)
-    coef = np.where(i == j, A[i, j], 2.0 * A[i, j])
+    # A - A.T and 2 A[i, j] overflow to inf near the largest double, which
+    # the tests below refuse
+    with np.errstate(over="ignore"):
+        if (A.shape != (n, n) or not np.isfinite(A).all()
+                or np.max(np.abs(A - A.T)) > 1e-12 * (1.0 + np.max(np.abs(A)))):
+            raise ValueError("matrix must be square, symmetric and finite")
+        coef = np.where(i == j, A[i, j], 2.0 * A[i, j])
+    if not np.isfinite(coef).all():
+        raise ValueError("matrix must be square, symmetric and finite")
     return _poly_from_table(n, 2, np.column_stack([i, j]), coef)

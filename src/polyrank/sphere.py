@@ -11,7 +11,11 @@ by comparing n**d with the gather size.  On the gather kernel an iteration
 is a shifted symmetric power step (SS-HOPM; Kolda & Mayo, SIAM J. Matrix
 Anal. Appl. 32(4), 2011).  On the dense kernel it also values a tangent
 Newton step, taken only where the form is concave on the tangent space,
-and longer steps along the tangent gradient, and moves to the best of them.
+longer steps along the tangent gradient, and eight points on a circle of
+trust-region radius in the plane of the gradient and the Newton step, all
+in one GEMM, and moves to the best of them.  The dense kernel runs on the
+tensor scaled by a power of two so that its largest entry is in [0.5, 1),
+so p and 2^j p give the same argmax and exactly scaled values.
 The lower degrees are answered in closed form: a linear form c.x at
 c/||c||, a quadratic x^T A x at the eigenvector of A with the largest
 |eigenvalue|, Newton-polished.  Every reported value is the form evaluated
@@ -65,14 +69,18 @@ class OptimizerConfig:
     converged once a step moves its point (or frame span) by less than tol.
     One iteration is one move of every start's point (or frame), however
     many candidates it values: in the sphere ascent on a dense form that
-    move is the best of the Newton, SS-HOPM and gradient steps it values
-    together, in the frame maximizer the better of the HOOI and
+    move is the best of the 13 points it values together (the Newton and
+    SS-HOPM steps, three longer gradient steps and eight trust-region points;
+    see _ascend), in the frame maximizer the better of the HOOI and
     Newton-Grassmann frames, and either counts once.
     shift applies to the sphere maximizer only: None means
     1 + bombieri_norm(p), which keeps the shifted power iteration monotone at
-    the cost of slower contraction.  All of them apply at d >= 3 only: linear
-    and quadratic forms are answered in closed form, so no field changes
-    their result (restarts still sets the length of SphereMax.start_values).
+    the cost of slower contraction; on a dense form that runs on p / 2^e (see
+    operator_norm), both the norm and a given shift are taken at that scale,
+    so that the 1 is relative to p's largest tensor entry.  All of them apply
+    at d >= 3 only: linear and quadratic forms are answered in closed form,
+    so no field changes their result (restarts still sets the length of
+    SphereMax.start_values).
     """
 
     restarts: int = 32
@@ -209,11 +217,21 @@ class _Form:
     terms.
     """
 
-    def __init__(self, p: HomPoly):
+    def __init__(self, p: HomPoly, scale: bool = False):
         self.n, self.d = p.n, p.d
+        # with scale, a dense tensor is divided by 2^e so that its largest
+        # entry is in [0.5, 1); the division is exact, so p and 2^j p
+        # compile to the same form.  The gather kernel stays unscaled: there
+        # SS-HOPM alone runs, and with the shift of p / 2^e it reached lower
+        # maxima at max_iters (on 5 of the 32 sparse forms of one pass of the
+        # `wide` benchmark workload, by up to 33%)
+        self.e = 0
         size = p.n ** p.d
         if size <= _DENSE_LIMIT and size <= _DENSE_PER_GATHER * len(p.terms) * p.d:
             self.T = dense_tensor(p)
+            if scale:
+                self.e = math.frexp(float(np.max(np.abs(self.T))))[1]
+                self.T = np.ldexp(self.T, -self.e)
             self._row_floats = size // p.n
             return
         self.T = None
@@ -235,9 +253,9 @@ class _Form:
         if self.d == 2:
             return Y, np.broadcast_to(self.T, (r, n, n))
         for _ in range(self.d - 3):
-            Y = np.matmul(Y.reshape(r, -1, n), X[:, :, None])[:, :, 0]
+            Y = np.einsum("ijk,ik->ij", Y.reshape(r, -1, n), X)
         H = Y.reshape(r, n, n)
-        return np.matmul(H, X[:, :, None])[:, :, 0], H
+        return np.einsum("ijk,ik->ij", H, X), H
 
     def tx(self, X: np.ndarray) -> np.ndarray:
         """T x^(d-1) for every row x of X."""
@@ -282,6 +300,18 @@ def _start_points(n: int, restarts: int, rng: np.random.Generator) -> np.ndarray
 _STRETCH = np.array([2.0, 4.0, 8.0])[:, None]
 _MAX_STEP = 0.2
 
+# And _RING points at tangent distance _RADIUS, x + _RADIUS (cos t e1 + sin t
+# e2) normalized, t = 2 pi j / _RING, on the circle in the plane of the
+# tangent gradient (e1) and the Newton step: a trust region restricted to a
+# two-dimensional subspace (Byrd, Schnabel & Shultz, Math. Programming 40,
+# 1988).  On a ridge, where s p is not concave, the Newton step is refused and
+# the steps above crawl; the ring steps off the ridge.  On the d >= 3 calls of
+# three `chain` benchmark passes the batch ran a mean of 13.4 iterations with
+# it against 24.6-27.3 without (on two `greedy` passes 20 against 76-106),
+# and no maximum fell by more than 1.5e-15 relative.
+_RADIUS = 0.4
+_RING = 8
+
 
 def _newton_steps(K: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Solve each system K[i] z = R[i]; a singular one gives z = 0."""
@@ -304,17 +334,20 @@ def _ascend(form: _Form, X0: np.ndarray, sign: np.ndarray, shift: float,
 
     On the gather kernel an iteration is one shifted symmetric power step
     (SS-HOPM), x <- normalize(s T x^(d-1) + shift x).  On the dense kernel an
-    iteration builds for each row five candidate next points: the tangent
-    Newton step on s p, from the bordered system [[d (d-1) s T x^(d-2) - l I,
-    x], [x^T, 0]] with l = x . grad(s p); the SS-HOPM step; and the steps
-    along the tangent gradient _STRETCH times as long as the SS-HOPM step, at
-    most _MAX_STEP radians.  It values them all in one batch and moves to the
-    best, ties going to Newton, which counts only where s p is concave on the
-    tangent space.  Either way one iteration is one move, and a row leaves
-    the batch once a move shifts it by less than tol (max-norm), after its
-    new point is evaluated, or after max_iters iterations.  Returns per row
-    the best value and point evaluated (the start included), the iterations
-    it ran and whether it stopped on the step test rather than at max_iters.
+    iteration builds for each row 5 + _RING candidate next points: the
+    tangent Newton step z on s p, from the bordered system [[d (d-1) s T
+    x^(d-2) - l I, x], [x^T, 0]] with l = x . grad(s p); the SS-HOPM step;
+    the steps along the tangent gradient _STRETCH times as long as the SS-HOPM
+    step, at most _MAX_STEP radians; and the _RING points at tangent distance
+    _RADIUS in the plane of the tangent gradient and z.  It values them all
+    with one GEMM and d - 2 batched contractions (see _Form.dense) and moves
+    to the best, ties going to Newton, which counts only where s p is concave
+    on the tangent space.  Either way one iteration is one move, and a row
+    leaves the batch once a move shifts it by less than tol (max-norm), after
+    its new point is evaluated, or after max_iters iterations.  Returns per
+    row the best value and point evaluated (the start included), the
+    iterations it ran and whether it stopped on the step test rather than at
+    max_iters.
 
     Rows run in blocks whose temporaries stay within _BLOCK_FLOATS floats.  A
     block holds an even number of rows: with both signs of every start the
@@ -324,7 +357,7 @@ def _ascend(form: _Form, X0: np.ndarray, sign: np.ndarray, shift: float,
     """
     m, n = X0.shape
     newton = form.T is not None
-    k = 2 + len(_STRETCH) if newton else 1
+    k = 2 + len(_STRETCH) + _RING if newton else 1
     block = 2 * max(1, _BLOCK_FLOATS // (2 * k * max(form._row_floats, (n + 1) ** 2)))
     if m > block:
         parts = [_ascend(form, X0[lo:lo + block], sign[lo:lo + block], shift, max_iters, tol)
@@ -332,79 +365,99 @@ def _ascend(form: _Form, X0: np.ndarray, sign: np.ndarray, shift: float,
         return tuple(np.concatenate(a) for a in zip(*parts))
     best_v, best_X = np.empty(m), np.empty_like(X0)
     iters, conv = np.empty(m, dtype=np.int64), np.zeros(m, dtype=bool)
-    rows, X, s = np.arange(m), X0, sign
+    rows, X, s = np.arange(m), X0, sign[:, None]
     TX, H = form.dense(X) if newton else (form.tx(X), None)
-    v = s * np.einsum("ij,ij->i", X, TX)
+    v = sign * np.einsum("ij,ij->i", X, TX)
     bv, bX = np.full(m, -np.inf), X0.copy()
     leaving = np.zeros(m, dtype=bool)
     if newton:
         K, R = np.zeros((m, n + 1, n + 1)), np.zeros((m, n + 1, 1))
         # per row, |C[0]| of the last Newton step taken where s p is concave
         trusted = np.zeros(m)
-        diag = np.arange(n)
-    for it in range(max_iters + 1):
-        better = v > bv
-        np.copyto(bX, X, where=better[:, None])
-        np.fmax(bv, v, out=bv)
-        if it == max_iters or leaving.any():
-            done = leaving | (it == max_iters)
-            out = rows[done]
-            best_v[out], best_X[out] = bv[done], bX[done]
-            iters[out], conv[out] = it, leaving[done]
-            if done.all():
-                break
-            keep = ~done
-            rows, X, TX, s, v, bv, bX = rows[keep], X[keep], TX[keep], s[keep], v[keep], bv[keep], bX[keep]
-            if newton:
-                H, K, R, trusted = H[keep], K[keep], R[keep], trusted[keep]
-        sTX = s[:, None] * TX
-        G = sTX + shift * X
-        if not newton:
-            norms = np.linalg.norm(G, axis=1, keepdims=True)
-            np.maximum(norms, 1e-300, out=norms)
-            Xn = G / norms
-            TX = form.tx(Xn)
-            v = s * np.einsum("ij,ij->i", Xn, TX)
-        else:
-            r = len(rows)
-            gt = sTX - v[:, None] * X  # the tangent gradient of s p, over d
-            np.multiply(H, ((form.d - 1) * s)[:, None, None], out=K[:, :n, :n])
-            K[:, diag, diag] -= v[:, None]
-            K[:, :n, n] = K[:, n, :n] = X
-            np.negative(gt, out=R[:, :n, 0])
-            C = np.empty((k, r, n))
-            np.add(X, _newton_steps(K, R)[:, :n, 0], out=C[0])
-            C[1] = G
-            # G / |G| moves X by about |gt| / |G| radians along gt
-            gl = np.maximum(np.sqrt(np.einsum("ij,ij->i", gt, gt)), 1e-300)
-            # G = 0 (a shift of 0 where T x^(d-1) = 0) makes NaN candidates,
-            # which the pick below never takes
-            with np.errstate(divide="ignore", invalid="ignore"):
-                coef = np.minimum(_STRETCH / np.sqrt(np.einsum("ij,ij->i", G, G)), _MAX_STEP / gl)
-                np.add(X, coef[:, :, None] * gt, out=C[2:])
-                norms = np.sqrt(np.einsum("kij,kij->ki", C, C))
+        sd = (form.d - 1) * s[:, :, None]
+        # per row, the coefficients of the candidates on (x, e1, e2): Newton,
+        # SS-HOPM, the stretches and the ring
+        A, Q = np.zeros((m, k, 3)), np.empty((m, 3, n))
+        A[:, :, 0] = A[:, 0, 2] = 1.0
+        t = 2 * np.pi / _RING * np.arange(_RING)
+        A[:, 5:, 1], ring_sin = _RADIUS * np.cos(t), _RADIUS * np.sin(t)
+        first = np.arange(0, m * k, k)
+    # G = 0 (a shift of 0 where T x^(d-1) = 0), and a ring whose e2 is 0 (z
+    # along gt), make NaN candidates, which the pick below never takes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(max_iters + 1):
+            better = v > bv
+            np.copyto(bX, X, where=better[:, None])
+            np.fmax(bv, v, out=bv)
+            if it == max_iters or leaving.any():
+                done = leaving | (it == max_iters)
+                out = rows[done]
+                best_v[out], best_X[out] = bv[done], bX[done]
+                iters[out], conv[out] = it, leaving[done]
+                if done.all():
+                    break
+                keep = (~done).nonzero()[0]
+                rows, X, TX, s, v, bv, bX = (a.take(keep, 0) for a in (rows, X, TX, s, v, bv, bX))
+                if newton:
+                    H, K, R, trusted, sd, A, Q = (a.take(keep, 0)
+                                                  for a in (H, K, R, trusted, sd, A, Q))
+            if not newton:
+                G = s * TX + shift * X
+                norms = np.linalg.norm(G, axis=1, keepdims=True)
+                np.maximum(norms, 1e-300, out=norms)
+                Xn = G / norms
+                TX = form.tx(Xn)
+                v = s[:, 0] * np.einsum("ij,ij->i", Xn, TX)
+            else:
+                r = len(rows)
+                vc = v[:, None]
+                gt = s * TX - vc * X  # the tangent gradient of s p, over d
+                np.multiply(H, sd, out=K[:, :n, :n])
+                K.reshape(r, -1)[:, :-1:n + 2] -= vc  # the diagonal of K[:, :n, :n]
+                K[:, :n, n] = K[:, n, :n] = X
+                np.negative(gt, out=R[:, :n, 0])
+                z = _newton_steps(K, R)[:, :n, 0]
+                # every candidate is A[i, j] . (x, e1, e2), normalized, for
+                # e1 = gt / |gt| and e2 = z - (z . e1) e1, so that x + z is
+                # x + (z . e1) e1 + e2; the ring's e2 coefficients are over |e2|
+                Q[:, 0] = X
+                gl = np.sqrt((gt * gt).sum(1))
+                np.maximum(gl, 1e-300, out=gl)
+                e1 = np.divide(gt, gl[:, None], out=Q[:, 1])
+                A[:, 0, 1] = za = (z * e1).sum(1)
+                e2 = np.subtract(z, za[:, None] * e1, out=Q[:, 2])
+                np.divide(ring_sin, np.sqrt((e2 * e2).sum(1))[:, None], out=A[:, 5:, 2])
+                # G = (l + shift) x + gt, and G / |G| moves x by about |gt| / |G|
+                # radians along e1
+                A[:, 1, 0] = g0 = v + shift
+                A[:, 1, 1] = gl
+                np.minimum(np.multiply.outer(gl / np.hypot(g0, gl), _STRETCH[:, 0]), _MAX_STEP,
+                           out=A[:, 2:5, 1])
+                C = A @ Q
+                norms = np.sqrt(np.einsum("ijk,ijk->ij", C, C))
                 C /= norms[:, :, None]
-            C = C.reshape(k * r, n)
-            TXc, Hc = form.dense(C)
-            # the first best wins, so ties go to Newton; a NaN never does
-            vc = np.fmax(s * np.einsum("ij,ij->i", C, TXc).reshape(k, r), -np.inf)
-            pick = np.argmax(vc, axis=0)
-            # Newton only where s p is concave on the tangent space, so that K
-            # has a single positive eigenvalue (see _MAX_STEP).  A Newton step
-            # shorter than the last one taken where s p was concave stays in
-            # that concave region, so it needs no test.
-            newton_best = pick == 0
-            test = np.flatnonzero(newton_best & (norms[0] >= trusted))
-            if len(test):
-                off = test[np.linalg.eigvalsh(K[test])[:, -2] >= 0.0]
-                vc[0, off] = -np.inf
-                pick[off] = np.argmax(vc[:, off], axis=0)
-                newton_best[off] = False
-            trusted = np.where(newton_best, norms[0], 0.0)
-            pick = pick * r + np.arange(r)
-            Xn, TX, H, v = C[pick], TXc[pick], Hc[pick], vc.reshape(-1)[pick]
-        leaving = np.max(np.abs(Xn - X), axis=1) < tol
-        X = Xn
+                C = C.reshape(r * k, n)
+                TXc, Hc = form.dense(C)
+                # the first best wins, so ties go to Newton; a NaN never does
+                vc = s * (C * TXc).sum(1).reshape(r, k)
+                np.fmax(vc, -np.inf, out=vc)
+                pick = vc.argmax(1)
+                # Newton only where s p is concave on the tangent space, so that
+                # K has a single positive eigenvalue (see _MAX_STEP).  A Newton
+                # step shorter than the last one taken where s p was concave
+                # stays in that concave region, so it needs no test.
+                newton_best = pick == 0
+                test = (newton_best & (norms[:, 0] >= trusted)).nonzero()[0]
+                if len(test):
+                    off = test[np.linalg.eigvalsh(K[test])[:, -2] >= 0.0]
+                    vc[off, 0] = -np.inf
+                    pick[off] = vc[off].argmax(1)
+                    newton_best[off] = False
+                trusted = norms[:, 0] * newton_best
+                pick += first[:r]
+                Xn, TX, H, v = C.take(pick, 0), TXc.take(pick, 0), Hc.take(pick, 0), vc.take(pick)
+            leaving = abs(Xn - X).max(1) < tol
+            X = Xn
     return best_v, best_X, iters, conv
 
 
@@ -480,7 +533,10 @@ def operator_norm(p: HomPoly, cfg: OptimizerConfig | None = None) -> SphereMax:
     Both signs of p are chased from every start in one batch; ties across
     starts are broken by the lowest start index so results do not depend on
     scheduling.  A linear form c.x is answered in closed form, at c/||c||, a
-    quadratic at the polished eigenvector of its largest |eigenvalue|.
+    quadratic at the polished eigenvector of its largest |eigenvalue|.  On
+    the dense kernel p and 2^j p give the same argmax and start iterations,
+    and values and start values scaled by exactly 2^j (while no product in
+    `evaluate` leaves the normal range).
     """
     if p.is_zero:
         raise ValueError("operator-norm argmax is undefined for the zero polynomial")
@@ -498,14 +554,23 @@ def operator_norm(p: HomPoly, cfg: OptimizerConfig | None = None) -> SphereMax:
         return SphereMax(value=value, argmax=x, converged=True, iterations_used=0,
                          start_values=(value,) * n_starts,
                          start_iterations=(0,) * n_starts)
-    shift = cfg.shift if cfg.shift is not None else 1.0 + bombieri_norm(p)
+    # on the dense kernel the ascent and the polish run on p / 2^e, scaled so
+    # that the largest entry of its tensor is in [0.5, 1), with the shift of
+    # p / 2^e: p and 2^j p run the same ascent on the same bits, and the
+    # start values scale back exactly
+    form = _Form(p, scale=True)
+    e = form.e
+    if cfg.shift is not None:
+        shift = math.ldexp(cfg.shift, -e)
+    else:
+        # ||p / 2^e||_B is the Frobenius norm of the scaled dense tensor
+        shift = 1.0 + (float(np.linalg.norm(form.T)) if form.T is not None else bombieri_norm(p))
     rng = np.random.default_rng(cfg.seed)
     starts = _start_points(p.n, cfg.restarts, rng)
     # the ascents from -e_i mirror those from e_i (x -> -x maps s p to
     # (-1)^d s p), so only e_i and the random starts run
     run = np.delete(starts, np.s_[p.n:2 * p.n], axis=0)
     m = len(run)
-    form = _Form(p)
     vals, X, iters, conv = _ascend(form, np.vstack([run, run]), np.repeat([1.0, -1.0], m),
                                    shift, cfg.max_iters, cfg.tol)
     vp, vm = vals[:m], vals[m:]
@@ -522,7 +587,7 @@ def operator_norm(p: HomPoly, cfg: OptimizerConfig | None = None) -> SphereMax:
         argmax=x,
         converged=bool(conv[win]),
         iterations_used=int(iters.max()),
-        start_values=tuple(float(v) for v in per_run[mirrored]),
+        start_values=tuple(math.ldexp(float(v), e) for v in per_run[mirrored]),
         start_iterations=tuple(int(i) for i in iters_run[mirrored]),
     )
 

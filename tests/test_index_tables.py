@@ -219,6 +219,17 @@ def test_quadratic_poly_refuses_non_finite_entries(bad):
             quadratic_poly(A)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_quadratic_poly_refuses_an_entry_whose_double_overflows(sign):
+    # 2 * 1e308 is inf: the coefficient of x1 x2 would be infinite; with the
+    # opposite sign below the diagonal, A - A.T overflows too
+    A = np.array([[0.0, 1e308], [sign * 1e308, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        quadratic_poly(A)
+    assert quadratic_poly(np.array([[1e308, 8e307], [8e307, 0.0]])).terms == {
+        (2, 0): 1e308, (1, 1): 1.6e308}
+
+
 # ------------------------------------------------------------------ dense_tensor
 
 def test_dense_tensor_matches_the_per_term_loop():

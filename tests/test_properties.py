@@ -139,6 +139,20 @@ def test_degree2_maxima_scale_by_powers_of_two(p, k, j):
                                                      rel=1e-14)
 
 
+@PROPERTY
+@given(st.integers(3, 5), st.integers(3, 4), st.integers(0, 2 ** 32 - 1),
+       st.integers(-600, 600))
+def test_sphere_maxima_scale_exactly_by_powers_of_two(n, d, seed, j):
+    # the ascent runs on the dense tensor scaled so that its largest entry is
+    # in [0.5, 1), which is the same tensor for p and 2^j p
+    p = bombieri_gaussian(n, d, np.random.default_rng(seed))
+    cfg = OptimizerConfig(restarts=2, max_iters=50)
+    sm, sm_q = operator_norm(p, cfg), operator_norm(2.0 ** j * p, cfg)
+    assert sm_q.value == math.ldexp(sm.value, j)
+    assert np.array_equal(sm_q.argmax, sm.argmax)
+    assert sm_q.start_values == tuple(math.ldexp(v, j) for v in sm.start_values)
+
+
 @st.composite
 def _cubics(draw):
     n = draw(st.integers(3, 5))

@@ -362,6 +362,20 @@ def degree3_report(tmp_path_factory):
     return poly_path, rep
 
 
+def _edited_report(tmp_path, rep, path, edit):
+    """A copy of the report dict rep, its field at path replaced by
+    edit(old value), written to tmp_path / "rep.json"; returns that path."""
+    rep = json.loads(json.dumps(rep))
+    *keys, last = path
+    field = rep
+    for key in keys:
+        field = field[key]
+    field[last] = edit(field[last])
+    report_path = tmp_path / "rep.json"
+    report_path.write_text(json.dumps(rep))
+    return report_path
+
+
 @pytest.mark.parametrize("path, value, message", [
     (("k",), 2.9, "'k' must be an integer"),
     (("k",), "2", "'k' must be an integer"),
@@ -380,18 +394,29 @@ def test_cli_chain_check_refuses_mistyped_report_fields(tmp_path, capsys, degree
                                                          path, value, message):
     # the first five edits gave `overall PASS` while fields were coerced
     poly_path, rep = degree3_report
-    rep = json.loads(json.dumps(rep))
-    *keys, last = path
-    field = rep
-    for key in keys:
-        field = field[key]
-    field[last] = value
-    report_path = tmp_path / "rep.json"
-    report_path.write_text(json.dumps(rep))
+    report_path = _edited_report(tmp_path, rep, path, lambda _: value)
     code, out, err = run_cli(["chain-check", str(poly_path), "--report", str(report_path)],
                              capsys)
     assert (code, out) == (1, "")
     assert err == f"error: bad report: {message}\n"
+
+
+@pytest.mark.parametrize("path, edit", [
+    (("chain", "dims", "dim_v"), lambda x: 9),
+    (("chain", "dims", "budget"), lambda x: 1),
+    (("chain", "mid2"), lambda x: x * 1e6),
+    (("defect",), lambda x: x * 100),
+])
+def test_cli_chain_check_fails_on_tampered_chain_values(tmp_path, capsys, degree3_report,
+                                                         path, edit):
+    # each edit gave `overall PASS` while the stated chain values went unread
+    poly_path, rep = degree3_report
+    report_path = _edited_report(tmp_path, rep, path, edit)
+    code, out, _ = run_cli(["chain-check", str(poly_path), "--report", str(report_path)],
+                           capsys)
+    assert code == 2
+    assert "FAIL chain_consistent" in out.splitlines()
+    assert out.strip().splitlines()[-1] == "overall FAIL"
 
 
 def test_cli_chain_check_parses_a_valid_report_to_the_same_values(degree3_report):

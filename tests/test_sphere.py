@@ -1,8 +1,10 @@
+import json
 import math
 import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +213,21 @@ def test_opnorm_no_lower_than_long_sshopm():
         # the starts -e_i repeat the entries of e_i, whose ascents mirror theirs
         assert sm.start_values[n:2 * n] == sm.start_values[:n]
         assert sm.start_iterations[n:2 * n] == sm.start_iterations[:n]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_opnorm_no_lower_than_recorded_maxima():
+    # values recorded before the ascent gained its trust-region ring, at the
+    # chain config, on bombieri_gaussian(n, d, default_rng((d, n, i)))
+    cfg = OptimizerConfig(restarts=6, max_iters=150, tol=1e-9)
+    recorded = json.loads((GOLDEN / "opnorm_chain_config.json").read_text())
+    assert len(recorded) == 104
+    for d, n, i, value in recorded:
+        sm = operator_norm(bombieri_gaussian(n, d, np.random.default_rng((d, n, i))), cfg)
+        assert sm.value >= value * (1 - 1e-12), (d, n, i)
+        assert sm.converged, (d, n, i)
 
 
 @pytest.mark.parametrize("kernel", ["dense", "gather"])
