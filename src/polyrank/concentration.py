@@ -23,6 +23,7 @@ searching again.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,6 +224,20 @@ def _build_v_frame(n: int, k: int, z_alpha: dict) -> Frame:
     return Frame(n=n, k=basis.shape[1], basis=basis)
 
 
+def _chain_norm_sq(p: HomPoly) -> float:
+    """||p||_B^2, refusing a form the chain cannot be computed for in doubles:
+    its values reach d! ||p||_B^2, and its ratios divide by ||p||_B^2."""
+    norm = bombieri_norm(p)
+    norm_sq = norm * norm
+    if not math.factorial(p.d) * norm_sq <= sys.float_info.max:
+        raise ValueError(f"form too large for the chain: d! ||p||_B^2 overflows "
+                         f"(||p||_B = {norm:.6g})")
+    if norm_sq < sys.float_info.min:
+        raise ValueError(f"form too small for the chain: ||p||_B^2 underflows "
+                         f"(||p||_B = {norm:.6g})")
+    return norm_sq
+
+
 def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
                 eps_inner: float | None = None) -> ConcentrationReport:
     """Rotate p so its defect at a small head size is controlled.
@@ -238,6 +253,9 @@ def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
     the one the greedy loop stopped on (LowRankApprox.stop_max): p is not
     rotated, and no sphere or subspace maximizer runs again, since the
     subspace norm at dim V = 1 is that maximum or |p| at V's unit vector.
+    A form whose d! ||p||_B^2 overflows or whose ||p||_B^2 is below the
+    smallest normal double is refused before any work, as verify_chain
+    refuses it.
     """
     if p.is_zero:
         raise ValueError("cannot concentrate the zero polynomial")
@@ -249,6 +267,7 @@ def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
     inner = eps / math.factorial(d) if eps_inner is None else eps_inner
     if not 0.0 < inner <= 1.0:
         raise ValueError(f"inner tolerance must be in (0, 1], got {inner}")
+    _chain_norm_sq(p)
     approx = greedy_approximate(p, inner, cfg)
     input_norm = approx.input_norm
 
@@ -395,7 +414,7 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
     if rhs_frame.n != n or rhs_frame.k != frame_v.k:
         raise ValueError("report witness frame does not match the dimensions of its frame V")
 
-    norm_sq = bombieri_norm(p) ** 2
+    norm_sq = _chain_norm_sq(p)
     tol = 1e-6 * norm_sq
     # the identity (every k = 0 report) leaves p as it is, as in concentrate
     identity = np.array_equal(rotation, np.eye(n))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from types import MappingProxyType
 
 import numpy as np
@@ -27,8 +27,9 @@ MAX_DEGREE = 20
 # canonical "no stored zeros" form.
 PRUNE_REL = 1e-14
 
-# Largest dense symmetric-tensor size (n**d) the dense substitution path may
-# allocate; beyond this the term-by-term path is used.
+# Largest dense symmetric-tensor size (n**d) dense_tensor may allocate; a
+# substitution of a larger form builds one n**(d-1) slab of its output at a
+# time, and is refused where a slab exceeds this too.
 _DENSE_LIMIT = 4_000_000
 
 
@@ -377,51 +378,62 @@ def _poly_from_table(n: int, d: int, combos: np.ndarray, coef: np.ndarray) -> Ho
     return HomPoly._trusted(n, d, dict(zip(keys, coef.tolist())))
 
 
-def _mul_terms(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0.0) + ca * cb
-    return out
+def _derivative_table(n: int, J: np.ndarray, c: np.ndarray, order: int):
+    """Monomials of T x^(d - order), with T the symmetric tensor of
+    sum_t c_t prod_a x[J[t, a]].
+
+    Differentiating at each ordered tuple of `order` distinct positions of
+    each row and dividing by the number of such tuples gives (key, rest,
+    coefficient) rows, key being the flat index of the differentiated
+    variables; equal (key, rest) rows are merged, sorted by key.
+    """
+    d = J.shape[1]
+    tuples = list(permutations(range(d), order))
+    if not tuples:
+        return np.zeros(0, np.int64), np.zeros((0, 0), np.int64), np.zeros(0)
+    keys, rests = [], []
+    for pos in tuples:
+        keys.append(_flat_index(n, order, J[:, list(pos)]))
+        rests.append(np.delete(J, pos, axis=1))
+    rows = np.column_stack([np.concatenate(keys), np.concatenate(rests)])
+    rows, inv = np.unique(rows, axis=0, return_inverse=True)
+    coef = np.bincount(inv.ravel(), weights=np.tile(c, len(tuples)) / len(tuples))
+    return rows[:, 0], rows[:, 1:], coef
 
 
 def _substitute_linear(p: HomPoly, M: np.ndarray, prune_tol: float) -> HomPoly:
-    """Expand p(M @ y) and prune coefficients at or below prune_tol."""
-    n = p.n
+    """Expand p(M @ y) and prune coefficients at or below prune_tol.
+
+    The tensor of the result is O = T x_1 M ... x_d M, T the tensor of p.
+    Within _DENSE_LIMIT (and at d = 1) it is built whole.  Above it, it is
+    built one slab O[j] at a time: T x_1 m is the tensor of (1/d) d_m p, so
+    O[j] is the tensor of (1/d) d_{M[:, j]} p contracted d - 1 times with M,
+    and each output monomial is read from the slab of its smallest index.
+    dense_tensor refuses a slab above _DENSE_LIMIT, as it refuses a form.
+    """
+    n, d = p.n, p.d
     if not p.terms:
-        return zero_poly(n, p.d)
-    if n ** p.d <= _DENSE_LIMIT:
+        return zero_poly(n, d)
+    if n ** d <= _DENSE_LIMIT or d == 1:
         T = dense_tensor(p)
-        for _ in range(p.d):
+        for _ in range(d):
             T = np.tensordot(T, M, axes=([0], [0]))
         return poly_from_dense(T, prune_tol)
-    # term-by-term fallback for instances too large to densify
-    acc: dict = {}
-    pow_cache: dict = {}
-    for alpha, c in sorted(p.terms.items()):
-        factors = []
-        dead = False
-        for i, a in enumerate(alpha):
-            if not a:
-                continue
-            key = (i, a)
-            if key not in pow_cache:
-                row = M[i]
-                pow_cache[key] = pow_linear(row, a).terms if np.any(row) else {}
-            if not pow_cache[key]:
-                dead = True
-                break
-            factors.append(pow_cache[key])
-        if dead:
-            continue
-        prod = {(0,) * n: 1.0} if not factors else factors[0]
-        for f in factors[1:]:
-            prod = _mul_terms(prod, f)
-        for expo, val in prod.items():
-            acc[expo] = acc.get(expo, 0.0) + c * val
-    terms = {e: v for e, v in acc.items() if abs(v) > prune_tol}
-    return HomPoly(n, p.d, terms)
+    # the monomials x^rest of (1/d) d_var p, with coefficients c alpha_var / d
+    var, rest, coef = _derivative_table(n, _index_tuples(p), np.array(list(p.terms.values())), 1)
+    rest, inv = np.unique(rest, axis=0, return_inverse=True)
+    out = np.empty(num_exponents(n, d))
+    for j in range(n):
+        dm = np.bincount(inv.ravel(), weights=M[var, j] * coef, minlength=len(rest))
+        S = dense_tensor(_poly_from_table(n, d - 1, rest, dm))
+        for _ in range(d - 1):
+            S = np.tensordot(S, M, axes=([0], [0]))
+        # the output's table only once dense_tensor has accepted a slab
+        combos, flat, mult = _exponent_table(n, d)
+        lo, hi = np.searchsorted(combos[:, 0], [j, j + 1])
+        out[lo:hi] = S.ravel()[flat[lo:hi] - j * n ** (d - 1)] * mult[lo:hi]
+    keep = np.flatnonzero(np.abs(out) > prune_tol)
+    return _poly_from_table(n, d, combos[keep], out[keep])
 
 
 def apply_orthogonal(p: HomPoly, Q) -> HomPoly:

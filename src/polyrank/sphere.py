@@ -38,7 +38,6 @@ the sphere maximizer answers it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,7 +48,7 @@ from .generators import bombieri_gaussian
 from .poly import (
     _DENSE_LIMIT,
     HomPoly,
-    _flat_index,
+    _derivative_table,
     _index_tuples,
     bombieri_norm,
     dense_tensor,
@@ -72,14 +71,9 @@ class OptimizerConfig:
     move is the best of the 13 points it values together (the Newton and
     SS-HOPM steps, three longer gradient steps and eight trust-region points;
     see _ascend), in the frame maximizer the better of the HOOI and
-    Newton-Grassmann frames, and either counts once.
-    shift applies to the sphere maximizer only: None means
-    1 + bombieri_norm(p), which keeps the shifted power iteration monotone at
-    the cost of slower contraction; on a dense form that runs on p / 2^e (see
-    operator_norm), both the norm and a given shift are taken at that scale,
-    so that the 1 is relative to p's largest tensor entry.  All of them apply
-    at d >= 3 only: linear and quadratic forms are answered in closed form,
-    so no field changes their result (restarts still sets the length of
+    Newton-Grassmann frames, and either counts once.  All of them apply at
+    d >= 3 only: linear and quadratic forms are answered in closed form, so
+    no field changes their result (restarts still sets the length of
     SphereMax.start_values).
     """
 
@@ -87,7 +81,6 @@ class OptimizerConfig:
     max_iters: int = 500
     tol: float = 1e-10
     seed: int = 0
-    shift: float | None = None
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -96,8 +89,6 @@ class OptimizerConfig:
             raise ValueError("max_iters must be >= 1")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.shift is not None and self.shift < 0:
-            raise ValueError("shift must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,29 +170,6 @@ _BLOCK_FLOATS = 1 << 21
 # with ||Z|| = 26, where S was barely negative definite, reached the basin
 # of a maximum 0.2% lower than the one HOOI reaches from the same start.
 _NEWTON_MAX_STEP = 1.0
-
-
-def _derivative_table(n: int, J: np.ndarray, c: np.ndarray, order: int):
-    """Monomials of T x^(d - order), with T the symmetric tensor of
-    sum_t c_t prod_a x[J[t, a]].
-
-    Differentiating at each ordered tuple of `order` distinct positions of
-    each row and dividing by the number of such tuples gives (key, rest,
-    coefficient) rows, key being the flat index of the differentiated
-    variables; equal (key, rest) rows are merged, sorted by key.
-    """
-    d = J.shape[1]
-    tuples = list(itertools.permutations(range(d), order))
-    if not tuples:
-        return np.zeros(0, np.int64), np.zeros((0, 0), np.int64), np.zeros(0)
-    keys, rests = [], []
-    for pos in tuples:
-        keys.append(_flat_index(n, order, J[:, list(pos)]))
-        rests.append(np.delete(J, pos, axis=1))
-    rows = np.column_stack([np.concatenate(keys), np.concatenate(rests)])
-    rows, inv = np.unique(rows, axis=0, return_inverse=True)
-    coef = np.bincount(inv.ravel(), weights=np.tile(c, len(tuples)) / len(tuples))
-    return rows[:, 0], rows[:, 1:], coef
 
 
 class _Form:
@@ -382,8 +350,8 @@ def _ascend(form: _Form, X0: np.ndarray, sign: np.ndarray, shift: float,
         t = 2 * np.pi / _RING * np.arange(_RING)
         A[:, 5:, 1], ring_sin = _RADIUS * np.cos(t), _RADIUS * np.sin(t)
         first = np.arange(0, m * k, k)
-    # G = 0 (a shift of 0 where T x^(d-1) = 0), and a ring whose e2 is 0 (z
-    # along gt), make NaN candidates, which the pick below never takes
+    # a ring whose e2 is 0 (z along gt) makes NaN candidates, which the pick
+    # below never takes
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(max_iters + 1):
             better = v > bv
@@ -545,7 +513,7 @@ def operator_norm(p: HomPoly, cfg: OptimizerConfig | None = None) -> SphereMax:
     if p.d <= 2:
         if p.d == 1:
             c = dense_tensor(p)
-            x = c / np.linalg.norm(c)
+            x = c / _frobenius(c)
         else:
             lams, V = np.linalg.eigh(quadratic_matrix(p))
             x = _polish(_Form(p), V[:, np.argmax(np.abs(lams))])
@@ -555,16 +523,13 @@ def operator_norm(p: HomPoly, cfg: OptimizerConfig | None = None) -> SphereMax:
                          start_values=(value,) * n_starts,
                          start_iterations=(0,) * n_starts)
     # on the dense kernel the ascent and the polish run on p / 2^e, scaled so
-    # that the largest entry of its tensor is in [0.5, 1), with the shift of
-    # p / 2^e: p and 2^j p run the same ascent on the same bits, and the
-    # start values scale back exactly
+    # that the largest entry of its tensor is in [0.5, 1), with the shift
+    # 1 + ||p / 2^e||_B (the Frobenius norm of the scaled tensor): p and 2^j p
+    # run the same ascent on the same bits, and the start values scale back
+    # exactly
     form = _Form(p, scale=True)
     e = form.e
-    if cfg.shift is not None:
-        shift = math.ldexp(cfg.shift, -e)
-    else:
-        # ||p / 2^e||_B is the Frobenius norm of the scaled dense tensor
-        shift = 1.0 + (float(np.linalg.norm(form.T)) if form.T is not None else bombieri_norm(p))
+    shift = 1.0 + (float(np.linalg.norm(form.T)) if form.T is not None else bombieri_norm(p))
     rng = np.random.default_rng(cfg.seed)
     starts = _start_points(p.n, cfg.restarts, rng)
     # the ascents from -e_i mirror those from e_i (x -> -x maps s p to
@@ -847,7 +812,7 @@ def subspace_norm(p: HomPoly, k: int, cfg: OptimizerConfig | None = None,
     if p.d == 1:
         # c.x projected to span(B) has norm ||B^T c||: any frame holding c/||c||
         c = dense_tensor(p)
-        basis = complete_orthogonal((c / np.linalg.norm(c)).reshape(-1, 1))[:, :k]
+        basis = complete_orthogonal((c / _frobenius(c)).reshape(-1, 1))[:, :k]
         return FrameMax(bombieri_norm(p), Frame(p.n, k, basis), True, ())
     if k == 1:
         sm = operator_norm(p, cfg)

@@ -9,9 +9,9 @@ import pytest
 
 from polyrank import HomPoly, multinomial, sphere
 from polyrank.generators import bombieri_gaussian, sparse_gaussian
-from polyrank.poly import (_exponent_table, dense_tensor, pow_linear, quadratic_matrix,
-                           quadratic_poly)
-from polyrank.sphere import _derivative_table, _Form
+from polyrank.poly import (_derivative_table, _exponent_table, dense_tensor, pow_linear,
+                           quadratic_matrix, quadratic_poly)
+from polyrank.sphere import _Form
 
 
 # ------------------------------------------------- the per-term reference loops

@@ -296,26 +296,48 @@ def test_project_subspace_idempotent_and_contractive(rng):
         assert bombieri_norm(pv) <= bombieri_norm(p) + 1e-10
 
 
-def test_substitution_fallback_matches_dense(rng, monkeypatch):
-    # forms small enough to densify, expanded once by the dense tensordot path
-    # and once, with the dense limit at 0, by the term-by-term fallback; the
-    # coordinate frame's zero rows kill every term touching x_3..x_n
+def test_substitution_slabs_match_dense(rng, monkeypatch):
+    # forms small enough to densify, expanded once by the whole-tensor path
+    # and once, with the dense limit at one slab (n ** (d - 1)), slab by slab;
+    # rotations, permutations, a coordinate frame (whose zero rows kill every
+    # term touching x_3..x_n) and a random 2-frame
     cases = []
     for n in (3, 4, 5):
-        for d in (1, 2, 3, 4):
-            p = bombieri_gaussian(n, d, rng)
-            Q = random_orthogonal(n, rng)
-            V = Frame(n, 2, np.eye(n)[:, :2])
-            cases.append((p, Q, V, apply_orthogonal(p, Q), project_subspace(p, V)))
-    monkeypatch.setattr(poly_mod, "_DENSE_LIMIT", 0)
-    for p, Q, V, rotated, projected in cases:
-        tol = 1e-12 * max_coeff_norm(p)
-        for dense, fallback in ((rotated, apply_orthogonal(p, Q)),
-                                (projected, project_subspace(p, V))):
-            keys = set(dense.terms) | set(fallback.terms)
-            gap = max(abs(dense.terms.get(e, 0.0) - fallback.terms.get(e, 0.0))
-                      for e in keys)
-            assert gap <= tol, (p.n, p.d, gap)
+        for d in (2, 3, 4):
+            for p in (bombieri_gaussian(n, d, rng), sparse_gaussian(n, d, 4, rng)):
+                Q, P = random_orthogonal(n, rng), np.eye(n)[rng.permutation(n)]
+                frames = (Frame(n, 2, np.eye(n)[:, :2]), random_frame(n, 2, rng))
+                subs = ([(apply_orthogonal, M) for M in (Q, P)]
+                        + [(project_subspace, F) for F in frames])
+                cases.extend((p, f, M, f(p, M)) for f, M in subs)
+    for p, f, M, whole in cases:
+        monkeypatch.setattr(poly_mod, "_DENSE_LIMIT", p.n ** (p.d - 1))
+        slabs = f(p, M)
+        keys = set(whole.terms) | set(slabs.terms)
+        gap = max((abs(whole.terms.get(e, 0.0) - slabs.terms.get(e, 0.0)) for e in keys),
+                  default=0.0)
+        assert gap <= 1e-12 * max_coeff_norm(p), (p.n, p.d, f.__name__, gap)
+    # a slab above the limit is refused as dense_tensor refuses a form
+    monkeypatch.setattr(poly_mod, "_DENSE_LIMIT", 5 ** 3 - 1)
+    with pytest.raises(ValueError, match="dense tensor would need 125 entries"):
+        project_subspace(bombieri_gaussian(5, 4, rng), random_frame(5, 2, rng))
+
+
+def test_substitution_above_the_dense_limit(rng):
+    # n ** d = 16 ** 6 is above _DENSE_LIMIT, so both substitutions run slab
+    # by slab, each slab 16 ** 5 entries
+    p = sparse_gaussian(16, 6, 10, rng)
+    assert p.n ** p.d > poly_mod._DENSE_LIMIT
+    Q, V = random_orthogonal(16, rng), random_frame(16, 2, rng)
+    rotated, projected = apply_orthogonal(p, Q), project_subspace(p, V)
+    norm = bombieri_norm(p)
+    assert abs(bombieri_norm(rotated) - norm) <= 1e-12 * norm
+    assert bombieri_norm(project_subspace(projected, V) - projected) <= 1e-12 * norm
+    assert bombieri_norm(projected) <= norm
+    for _ in range(3):
+        y = rng.standard_normal(16)
+        for q, M in ((rotated, Q), (projected, V.projection())):
+            assert evaluate(q, y) == pytest.approx(evaluate(p, M @ y), rel=1e-10, abs=1e-12 * norm)
 
 
 def test_restrict_zero():

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyrank import (HomPoly, OptimizerConfig, bombieri_norm, max_coeff_norm, operator_norm,
-                      subspace_norm)
+from polyrank import (HomPoly, OptimizerConfig, bombieri_norm, concentrate, max_coeff_norm,
+                      operator_norm, subspace_norm)
 from polyrank.cli import main
 from polyrank.generators import bombieri_gaussian
 from polyrank.serialize import poly_to_dict
@@ -183,6 +183,51 @@ def test_cli_subnorm_degree3_at_extreme_scales(j):
     assert [err for _, _, err in outs] == ["", ""]
     value, scaled = (json.loads(out)["value"] for _, out, _ in outs)
     assert scaled == math.ldexp(value, j)
+
+
+@pytest.mark.parametrize("argv", [["opnorm"], ["subnorm", "--k", "2"]])
+def test_cli_linear_forms_at_extreme_scales(argv):
+    # the closed form's c / ||c|| divided by zero when ||c|| underflowed (and
+    # by inf when it overflowed)
+    p = HomPoly(3, 1, {(1, 0, 0): 1.0, (0, 1, 0): 1.0, (0, 0, 1): -0.5})
+    for j in (-600, 600):
+        outs = [_run_cli([argv[0], json.dumps(poly_to_dict(s * p))] + argv[1:]
+                         + ["--format", "json"]) for s in (1.0, 2.0 ** j)]
+        assert [(code, err) for code, _, err in outs] == [(0, ""), (0, "")]
+        value, scaled = (json.loads(out)["value"] for _, out, _ in outs)
+        assert scaled == math.ldexp(value, j)
+
+
+@pytest.mark.parametrize("j", [600, -600])
+def test_cli_concentrate_and_chain_check_refuse_extreme_scales(tmp_path, j):
+    # d! ||p||_B^2 overflows at 2^600 and ||p||_B^2 underflows at 2^-600: both
+    # commands refuse the form with one line instead of a traceback
+    p = bombieri_gaussian(6, 3, np.random.default_rng(5))
+    flags = ["--eps", "0.9", "--eps-inner", "0.45", "--restarts", "6"]
+    report = tmp_path / "rep.json"
+    code, _, _ = _run_cli(["concentrate", json.dumps(poly_to_dict(p))] + flags
+                          + ["--format", "json", "--out", str(report)])
+    assert code == 0
+    scaled = json.dumps(poly_to_dict(2.0 ** j * p))
+    for argv in (["concentrate", scaled] + flags, ["chain-check", scaled, "--report", str(report)]):
+        code, out, err = _run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: form too") and err.count("\n") == 1
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(st.integers(3, 5), st.integers(2, 4), st.integers(0, 2 ** 32 - 1),
+       st.integers(-300, 300))
+def test_concentrate_scales_exactly_by_powers_of_two(n, d, seed, j):
+    # every maximizer runs on a tensor scaled by a power of two and the
+    # greedy loop, pruning and Gram-Schmidt test relative sizes, so 2^j p is
+    # concentrated by the same rotation, with the defect scaled by 2^(2j)
+    p = bombieri_gaussian(n, d, np.random.default_rng(seed))
+    cfg = OptimizerConfig(restarts=6, seed=1)
+    rep, rep_q = (concentrate(q, 0.9, cfg, eps_inner=0.45) for q in (p, 2.0 ** j * p))
+    assert (rep_q.k, rep_q.frame_v.k) == (rep.k, rep.frame_v.k)
+    assert np.array_equal(rep_q.rotation, rep.rotation)
+    assert rep_q.defect == math.ldexp(rep.defect, 2 * j)
 
 
 def test_tiny_quadratic_is_maximized_at_its_own_scale():

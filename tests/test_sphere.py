@@ -248,11 +248,12 @@ def test_ascent_in_blocks_changes_no_bit(monkeypatch, rng, kernel):
 
 
 @pytest.mark.filterwarnings("error")
-def test_opnorm_zero_shift_at_a_critical_start():
-    # at e3 the gradient of x1^3 + x2^3 vanishes, so with shift 0 the SS-HOPM
-    # step is the zero vector: its candidate must not be taken or warn
+def test_opnorm_at_a_critical_start():
+    # at e3 the gradient of x1^3 + x2^3 vanishes, so the tangent gradient and
+    # the Newton step are zero there and the ring's candidates NaN: none of
+    # them may warn or be taken
     p = poly_of(3, 3, {(3, 0, 0): 1.0, (0, 3, 0): 1.0})
-    sm = operator_norm(p, OptimizerConfig(restarts=3, shift=0.0))
+    sm = operator_norm(p)
     assert sm.value == pytest.approx(1.0, rel=1e-12)
     assert np.linalg.norm(sm.argmax) == pytest.approx(1.0, abs=1e-12)
 
