@@ -253,9 +253,8 @@ def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
     the one the greedy loop stopped on (LowRankApprox.stop_max): p is not
     rotated, and no sphere or subspace maximizer runs again, since the
     subspace norm at dim V = 1 is that maximum or |p| at V's unit vector.
-    A form whose d! ||p||_B^2 overflows or whose ||p||_B^2 is below the
-    smallest normal double is refused before any work, as verify_chain
-    refuses it.
+    A form whose d! ||p||_B^2 overflows or whose ||p||_B^2 underflows is
+    refused before any work, as verify_chain refuses it.
     """
     if p.is_zero:
         raise ValueError("cannot concentrate the zero polynomial")

@@ -28,8 +28,7 @@ MAX_DEGREE = 20
 PRUNE_REL = 1e-14
 
 # Largest dense symmetric-tensor size (n**d) dense_tensor may allocate; a
-# substitution of a larger form builds one n**(d-1) slab of its output at a
-# time, and is refused where a slab exceeds this too.
+# substitution of a larger form recurses on its n derivatives of degree d - 1.
 _DENSE_LIMIT = 4_000_000
 
 
@@ -401,39 +400,45 @@ def _derivative_table(n: int, J: np.ndarray, c: np.ndarray, order: int):
     return rows[:, 0], rows[:, 1:], coef
 
 
-def _substitute_linear(p: HomPoly, M: np.ndarray, prune_tol: float) -> HomPoly:
-    """Expand p(M @ y) and prune coefficients at or below prune_tol.
-
-    The tensor of the result is O = T x_1 M ... x_d M, T the tensor of p.
-    Within _DENSE_LIMIT (and at d = 1) it is built whole.  Above it, it is
-    built one slab O[j] at a time: T x_1 m is the tensor of (1/d) d_m p, so
-    O[j] is the tensor of (1/d) d_{M[:, j]} p contracted d - 1 times with M,
-    and each output monomial is read from the slab of its smallest index.
-    dense_tensor refuses a slab above _DENSE_LIMIT, as it refuses a form.
+def _substituted_coefs(p: HomPoly, M: np.ndarray, start: int = 0) -> np.ndarray:
+    """Coefficients of p(M @ y) on the suffix of _exponent_table(n, d) whose
+    indices are all >= start: within _DENSE_LIMIT (or at d = 1) read from
+    T x_1 M ... x_d M, T the tensor of p; above it by Euler's identity
+    p(M y) = sum_j y_j q_j(M y), q_j = (1/d) d_{M[:, j]} p of degree d - 1,
+    reading each beta from q_j(M y) at beta - e_j, j its smallest index,
+    times d / beta_j, with q_j(M y) recursing from start j.
     """
     n, d = p.n, p.d
+    combos, flat, mult = _exponent_table(n, d)
+    s = np.searchsorted(combos[:, 0], start)
     if not p.terms:
-        return zero_poly(n, d)
+        return np.zeros(len(combos) - s)
     if n ** d <= _DENSE_LIMIT or d == 1:
         T = dense_tensor(p)
         for _ in range(d):
             T = np.tensordot(T, M, axes=([0], [0]))
-        return poly_from_dense(T, prune_tol)
+        return np.ravel(T)[flat[s:]] * mult[s:]
     # the monomials x^rest of (1/d) d_var p, with coefficients c alpha_var / d
     var, rest, coef = _derivative_table(n, _index_tuples(p), np.array(list(p.terms.values())), 1)
     rest, inv = np.unique(rest, axis=0, return_inverse=True)
-    out = np.empty(num_exponents(n, d))
-    for j in range(n):
-        dm = np.bincount(inv.ravel(), weights=M[var, j] * coef, minlength=len(rest))
-        S = dense_tensor(_poly_from_table(n, d - 1, rest, dm))
-        for _ in range(d - 1):
-            S = np.tensordot(S, M, axes=([0], [0]))
-        # the output's table only once dense_tensor has accepted a slab
-        combos, flat, mult = _exponent_table(n, d)
-        lo, hi = np.searchsorted(combos[:, 0], [j, j + 1])
-        out[lo:hi] = S.ravel()[flat[lo:hi] - j * n ** (d - 1)] * mult[lo:hi]
-    keep = np.flatnonzero(np.abs(out) > prune_tol)
-    return _poly_from_table(n, d, combos[keep], out[keep])
+    out = np.empty(len(combos) - s)
+    for j in range(start, n):
+        q = _poly_from_table(n, d - 1, rest, np.bincount(
+            inv.ravel(), weights=M[var, j] * coef, minlength=len(rest)))
+        # the rows of smallest index j, less e_j, are the (d - 1)-suffix from j
+        lo, hi = np.searchsorted(combos[:, 0], [j, j + 1]) - s
+        beta_j = np.count_nonzero(combos[s + lo:s + hi] == j, axis=1)
+        out[lo:hi] = _substituted_coefs(q, M, j) * (d / beta_j)
+    return out
+
+
+def _substitute_linear(p: HomPoly, M: np.ndarray, prune_tol: float) -> HomPoly:
+    """Expand p(M @ y) and prune coefficients at or below prune_tol."""
+    if not p.terms:
+        return zero_poly(p.n, p.d)
+    coef = _substituted_coefs(p, M)
+    keep = np.flatnonzero(np.abs(coef) > prune_tol)
+    return _poly_from_table(p.n, p.d, _exponent_table(p.n, p.d)[0][keep], coef[keep])
 
 
 def apply_orthogonal(p: HomPoly, Q) -> HomPoly:

@@ -522,11 +522,9 @@ def operator_norm(p: HomPoly, cfg: OptimizerConfig | None = None) -> SphereMax:
         return SphereMax(value=value, argmax=x, converged=True, iterations_used=0,
                          start_values=(value,) * n_starts,
                          start_iterations=(0,) * n_starts)
-    # on the dense kernel the ascent and the polish run on p / 2^e, scaled so
-    # that the largest entry of its tensor is in [0.5, 1), with the shift
-    # 1 + ||p / 2^e||_B (the Frobenius norm of the scaled tensor): p and 2^j p
-    # run the same ascent on the same bits, and the start values scale back
-    # exactly
+    # on the dense kernel the ascent and the polish run on p / 2^e (its largest
+    # tensor entry in [0.5, 1)), with the shift 1 + ||p / 2^e||_B: p and 2^j p
+    # run the same ascent on the same bits, and start values scale back exactly
     form = _Form(p, scale=True)
     e = form.e
     shift = 1.0 + (float(np.linalg.norm(form.T)) if form.T is not None else bombieri_norm(p))

@@ -296,11 +296,12 @@ def test_project_subspace_idempotent_and_contractive(rng):
         assert bombieri_norm(pv) <= bombieri_norm(p) + 1e-10
 
 
-def test_substitution_slabs_match_dense(rng, monkeypatch):
+def test_substitution_recursion_matches_dense(rng, monkeypatch):
     # forms small enough to densify, expanded once by the whole-tensor path
-    # and once, with the dense limit at one slab (n ** (d - 1)), slab by slab;
-    # rotations, permutations, a coordinate frame (whose zero rows kill every
-    # term touching x_3..x_n) and a random 2-frame
+    # and again with the dense limit lowered, so that the substitution
+    # recurses on derivatives: once (limit n ** (d - 1)) and down to degree 1
+    # (limit n); rotations, permutations, a coordinate frame (whose zero rows
+    # kill every term touching x_3..x_n) and a random 2-frame
     cases = []
     for n in (3, 4, 5):
         for d in (2, 3, 4):
@@ -311,31 +312,30 @@ def test_substitution_slabs_match_dense(rng, monkeypatch):
                         + [(project_subspace, F) for F in frames])
                 cases.extend((p, f, M, f(p, M)) for f, M in subs)
     for p, f, M, whole in cases:
-        monkeypatch.setattr(poly_mod, "_DENSE_LIMIT", p.n ** (p.d - 1))
-        slabs = f(p, M)
-        keys = set(whole.terms) | set(slabs.terms)
-        gap = max((abs(whole.terms.get(e, 0.0) - slabs.terms.get(e, 0.0)) for e in keys),
-                  default=0.0)
-        assert gap <= 1e-12 * max_coeff_norm(p), (p.n, p.d, f.__name__, gap)
-    # a slab above the limit is refused as dense_tensor refuses a form
-    monkeypatch.setattr(poly_mod, "_DENSE_LIMIT", 5 ** 3 - 1)
-    with pytest.raises(ValueError, match="dense tensor would need 125 entries"):
-        project_subspace(bombieri_gaussian(5, 4, rng), random_frame(5, 2, rng))
+        for limit in (p.n ** (p.d - 1), p.n):
+            monkeypatch.setattr(poly_mod, "_DENSE_LIMIT", limit)
+            split = f(p, M)
+            keys = set(whole.terms) | set(split.terms)
+            gap = max((abs(whole.terms.get(e, 0.0) - split.terms.get(e, 0.0)) for e in keys),
+                      default=0.0)
+            assert gap <= 1e-12 * max_coeff_norm(p), (p.n, p.d, f.__name__, limit, gap)
 
 
-def test_substitution_above_the_dense_limit(rng):
-    # n ** d = 16 ** 6 is above _DENSE_LIMIT, so both substitutions run slab
-    # by slab, each slab 16 ** 5 entries
-    p = sparse_gaussian(16, 6, 10, rng)
+@pytest.mark.parametrize("n, d, nterms", [(16, 6, 10), (3, 15, 5)])
+def test_substitution_above_the_dense_limit(rng, n, d, nterms):
+    # n ** d is above _DENSE_LIMIT, so both substitutions recurse on
+    # derivatives: once at (16, 6), twice at (3, 15), where even 3 ** 14 is
+    # above the limit while the output has only 136 monomials
+    p = sparse_gaussian(n, d, nterms, rng)
     assert p.n ** p.d > poly_mod._DENSE_LIMIT
-    Q, V = random_orthogonal(16, rng), random_frame(16, 2, rng)
+    Q, V = random_orthogonal(n, rng), random_frame(n, 2, rng)
     rotated, projected = apply_orthogonal(p, Q), project_subspace(p, V)
     norm = bombieri_norm(p)
     assert abs(bombieri_norm(rotated) - norm) <= 1e-12 * norm
     assert bombieri_norm(project_subspace(projected, V) - projected) <= 1e-12 * norm
     assert bombieri_norm(projected) <= norm
     for _ in range(3):
-        y = rng.standard_normal(16)
+        y = rng.standard_normal(n)
         for q, M in ((rotated, Q), (projected, V.projection())):
             assert evaluate(q, y) == pytest.approx(evaluate(p, M @ y), rel=1e-10, abs=1e-12 * norm)
 
