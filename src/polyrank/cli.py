@@ -16,9 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from . import concentration, generators, lowrank, serialize, sphere
-from .poly import MAX_DEGREE, bombieri_norm, max_coeff_norm, num_exponents, quadratic_matrix
-
-_BENCH_TERM_LIMIT = 10_000_000
+from .poly import (
+    _TERM_LIMIT,
+    MAX_DEGREE,
+    bombieri_norm,
+    max_coeff_norm,
+    num_exponents,
+    quadratic_matrix,
+)
 
 
 class CliError(Exception):
@@ -47,16 +52,16 @@ def _load_poly(source: str):
 
 def _config(args, n: int, k: int | None = None, d: int = 2) -> sphere.OptimizerConfig:
     """The optimizer config, refused before any start array is built when that
-    array would exceed _BENCH_TERM_LIMIT entries: restarts frames of n x k
+    array would exceed _TERM_LIMIT entries: restarts frames of n x k
     for subnorm at k > 1, else 2n + restarts start points of n entries each
     (one each for a linear form, whose closed form keeps only their values)."""
     if k is not None and k > 1:
         size = args.restarts * n * k
     else:
         size = (2 * n + args.restarts) * (n if d > 1 else 1)
-    if size > _BENCH_TERM_LIMIT:
+    if size > _TERM_LIMIT:
         raise CliError(f"--restarts {args.restarts} at n={n} would need start arrays of "
-                       f"{size} entries; refusing above {_BENCH_TERM_LIMIT}")
+                       f"{size} entries; refusing above {_TERM_LIMIT}")
     return sphere.OptimizerConfig(
         restarts=args.restarts,
         max_iters=args.max_iters,
@@ -93,9 +98,9 @@ def cmd_norm(args) -> int:
 
 def _refuse_square(p, command: str) -> None:
     """Refuse before any n x n array (eigh, Newton polish, start points) is built."""
-    if p.n * p.n > _BENCH_TERM_LIMIT:
+    if p.n * p.n > _TERM_LIMIT:
         raise CliError(f"{command} at n={p.n} would need n x n arrays of {p.n * p.n} "
-                       f"entries; refusing above {_BENCH_TERM_LIMIT}")
+                       f"entries; refusing above {_TERM_LIMIT}")
 
 
 def _engine(p, k: int | None = None) -> str:
@@ -257,12 +262,12 @@ def cmd_gen(args) -> int:
         raise CliError(f"--d must be in 1..{MAX_DEGREE}, got {args.d}")
     if model in ("bombieri-gaussian", "planted-lowrank"):
         size = num_exponents(args.n, args.d)
-        if size > _BENCH_TERM_LIMIT:
+        if size > _TERM_LIMIT:
             raise CliError(f"model {model} at n={args.n}, d={args.d} would need {size} "
-                           f"dense terms; refusing above {_BENCH_TERM_LIMIT}")
-    if model == "hard-family" and args.n * args.n > _BENCH_TERM_LIMIT:
+                           f"dense terms; refusing above {_TERM_LIMIT}")
+    if model == "hard-family" and args.n * args.n > _TERM_LIMIT:
         raise CliError(f"model hard-family at n={args.n} would need {args.n * args.n} "
-                       f"exponent entries; refusing above {_BENCH_TERM_LIMIT}")
+                       f"exponent entries; refusing above {_TERM_LIMIT}")
     rng = np.random.default_rng(args.seed)
     if model == "hard-family":
         p = lowrank.hard_family(args.n)
@@ -297,12 +302,14 @@ def cmd_bench(args) -> int:
     n_list = _parse_list(args.n_list, int)
     if not eps_list or not d_list or not n_list:
         raise CliError("bench needs non-empty --eps-list, --d-list, --n-list")
+    for eps in eps_list:
+        lowrank.check_tolerance(eps)
     for d in d_list:
         for n in n_list:
-            if num_exponents(n, d) > _BENCH_TERM_LIMIT:
+            if num_exponents(n, d) > _TERM_LIMIT:
                 raise CliError(
                     f"cell (d={d}, n={n}) would need {num_exponents(n, d)} dense "
-                    f"terms; refusing above {_BENCH_TERM_LIMIT}"
+                    f"terms; refusing above {_TERM_LIMIT}"
                 )
     cfg = _config(args, max(n_list))
     rows = []

@@ -28,19 +28,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, complete_orthogonal, gram_schmidt
-from .lowrank import LowRankApprox, greedy_approximate, reconstruct
+from .frames import Frame, complete_orthogonal, gram_schmidt, is_orthonormal_columns
+from .lowrank import LowRankApprox, _power_sum, check_tolerance, greedy_approximate
 from .poly import (
     HomPoly,
-    apply_orthogonal,
+    _exponent_table,
+    _run_ranks,
+    _substitute_table,
+    _table_coefs,
+    _table_norm,
+    _table_poly,
     bombieri_norm,
     evaluate,
     max_coeff_norm,
-    multinomial,
-    pow_linear,
-    project_subspace,
-    restrict_zero,
-    zero_poly,
 )
 from .sphere import OptimizerConfig, operator_norm, subspace_norm
 
@@ -112,13 +112,6 @@ def _low_heads(dec: AlphaDecomposition):
             yield head, dec.parts[head]
 
 
-def _part_maxima(dec: AlphaDecomposition, cfg: OptimizerConfig) -> dict:
-    out = {}
-    for head, part in _low_heads(dec):
-        out[head] = operator_norm(part, cfg)
-    return out
-
-
 def concentration_defect(p: HomPoly, k: int, cfg: OptimizerConfig | None = None):
     """Defect of p at head size k: (defect, per-head contributions, defect_inf).
 
@@ -128,7 +121,7 @@ def concentration_defect(p: HomPoly, k: int, cfg: OptimizerConfig | None = None)
     """
     cfg = cfg or OptimizerConfig()
     dec = alpha_decompose(p, k)
-    maxima = _part_maxima(dec, cfg)
+    maxima = {head: operator_norm(part, cfg) for head, part in _low_heads(dec)}
     per_alpha = {head: sm.value ** 2 for head, sm in maxima.items()}
     defect = sum(per_alpha.values())
     defect_inf = sum(max_coeff_norm(part) ** 2 for _, part in _low_heads(dec))
@@ -187,29 +180,43 @@ class ConcentrationReport:
     ratios: dict
 
 
-def _parts_for(p_rot: HomPoly, k: int) -> dict:
-    """Low-weight head parts of p_rot, with k = 0 meaning the whole form."""
-    if k == 0:
-        return {(): p_rot}
-    if k == p_rot.n:
-        return {}
-    return dict(_low_heads(alpha_decompose(p_rot, k)))
+def _tail_parts(n: int, d: int, k: int, coef: np.ndarray) -> dict:
+    """The low-weight head parts of the form whose coefficient vector over
+    _exponent_table(n, d) is coef, with k = 0 meaning the whole form: the
+    parts alpha_decompose gives that form with its terms in table order.
+
+    The rows of one head of weight w are consecutive in the table (its
+    entries below k lead each row), and their tails, less k, are the rows of
+    _exponent_table(n - k, d - w) in order: that slice of coef is the part's
+    coefficient vector.
+    """
+    combos = _exponent_table(n, d)[0]
+    head = np.where(combos < k, combos, k)
+    weight = np.count_nonzero(combos < k, axis=1)
+    starts = np.flatnonzero(np.r_[True, np.any(head[1:] != head[:-1], axis=1)])
+    ends = np.r_[starts[1:], len(combos)]
+    low = weight[starts] < d
+    parts = {}
+    for lo, hi in zip(starts[low].tolist(), ends[low].tolist()):
+        if np.any(coef[lo:hi]):
+            w = weight[lo]
+            alpha = tuple(np.bincount(combos[lo, :w], minlength=k).tolist())
+            parts[alpha] = _table_poly(n - k, d - w, coef[lo:hi])
+    return parts
 
 
-def _alpha_parts_norm_sq(p: HomPoly, k: int) -> float:
-    """Sum over all heads of the squared Bombieri norm of the tail part."""
-    if k == 0:
-        return bombieri_norm(p) ** 2
-    if k == p.n:
-        return sum(c * c for c in p.terms.values())
-    dec = alpha_decompose(p, k)
-    total = 0.0
-    for part in dec.parts.values():
-        if isinstance(part, HomPoly):
-            total += bombieri_norm(part) ** 2
-        else:
-            total += part * part
-    return total
+def _head_tail_weights(n: int, d: int, k: int):
+    """Over _exponent_table(n, d), each monomial's exact int64 head weight
+    d! / (head! (d - |head|)!) and tail weight (d - |head|)! / tail!, whose
+    product is its multinomial (head the exponents of the first k variables)."""
+    combos = _exponent_table(n, d)[0]
+    rank = _run_ranks(combos)
+    in_head = combos < k
+    head_fact = np.prod(np.where(in_head, rank, 1), axis=1)
+    tail_fact = np.prod(np.where(in_head, 1, rank), axis=1)
+    fact = np.array([math.factorial(i) for i in range(d + 1)], dtype=np.int64)
+    rest = fact[d - np.count_nonzero(in_head, axis=1)]
+    return fact[d] // (head_fact * rest), rest // tail_fact
 
 
 def _build_v_frame(n: int, k: int, z_alpha: dict) -> Frame:
@@ -258,71 +265,68 @@ def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
     """
     if p.is_zero:
         raise ValueError("cannot concentrate the zero polynomial")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    check_tolerance(eps)
     cfg = cfg or OptimizerConfig()
     n, d = p.n, p.d
     fact = float(math.factorial(d))
     inner = eps / math.factorial(d) if eps_inner is None else eps_inner
-    if not 0.0 < inner <= 1.0:
-        raise ValueError(f"inner tolerance must be in (0, 1], got {inner}")
-    _chain_norm_sq(p)
+    check_tolerance(inner, "inner tolerance")
+    if eps * eps * _chain_norm_sq(p) < sys.float_info.min:
+        raise ValueError(f"eps {eps} is too small for this form: eps^2 ||p||_B^2 underflows")
     approx = greedy_approximate(p, inner, cfg)
     input_norm = approx.input_norm
 
+    # every form below is its coefficient vector over the exponent table
+    combos, _, mult = _exponent_table(n, d)
+    c_rot = _table_coefs(p)
     if approx.terms:
         head = gram_schmidt([t.u for t in approx.terms], _RANK_TOL)
         k = head.shape[1]
         rotation = complete_orthogonal(head)
-        p_rot = apply_orthogonal(p, rotation)
+        c_rot = _substitute_table(n, d, c_rot, rotation)
     else:
         # no greedy step: the rotation is the identity, and the greedy
         # stage's last sphere maximum was taken on p itself
-        k, rotation, p_rot = 0, np.eye(n), p
-    q_rot = zero_poly(n, d)
-    for t in approx.terms:
-        q_rot = q_rot + t.lam * pow_linear(rotation.T @ t.u, d)
+        k, rotation = 0, np.eye(n)
+    c_q = _power_sum(n, d, ((t.lam, rotation.T @ t.u) for t in approx.terms))
 
     if k == 0:
         sm = approx.stop_max
         per_alpha = {(): sm.value ** 2}
         z_alpha = {(): sm.argmax}
-        defect_inf = max_coeff_norm(p_rot) ** 2
-    elif k == n:
-        per_alpha = {}
-        z_alpha = {}
-        defect_inf = 0.0
+        defect_inf = max_coeff_norm(p) ** 2
     else:
-        dec = alpha_decompose(p_rot, k)
-        maxima = _part_maxima(dec, cfg)
+        parts = _tail_parts(n, d, k, c_rot)
+        maxima = {h: operator_norm(part, cfg) for h, part in sorted(parts.items())}
         per_alpha = {h: sm.value ** 2 for h, sm in maxima.items()}
         z_alpha = {h: sm.argmax for h, sm in maxima.items()}
-        defect_inf = sum(max_coeff_norm(part) ** 2 for _, part in _low_heads(dec))
+        defect_inf = sum((max_coeff_norm(part) ** 2 for _, part in sorted(parts.items())), 0.0)
     defect = sum(per_alpha.values())
 
     frame_v = _build_v_frame(n, k, z_alpha)
-    p_v = project_subspace(p_rot, frame_v)
-    p_u = restrict_zero(p_rot, range(k))
-    diff_vu = p_v - p_u
-    diff_pq = p_rot - q_rot
-    mid1 = _alpha_parts_norm_sq(diff_vu, k)
-    mid2 = fact * bombieri_norm(diff_vu) ** 2
-    mid3 = fact * bombieri_norm(p_v - q_rot) ** 2
-    mid4 = fact * bombieri_norm(project_subspace(diff_pq, frame_v)) ** 2
+    proj_v = frame_v.projection()
+    c_v = _substitute_table(n, d, c_rot, proj_v)
+    diff_pq = c_rot - c_q
+    # p_V minus p_rot restricted to the head variables (rows below k only)
+    diff_vu = c_v - np.where(combos[:, -1] < k, c_rot, 0.0)
+    mid1 = _table_norm(diff_vu, _head_tail_weights(n, d, k)[1]) ** 2
+    mid2 = fact * _table_norm(diff_vu, mult) ** 2
+    mid3 = fact * _table_norm(c_v - c_q, mult) ** 2
+    mid4 = fact * _table_norm(_substitute_table(n, d, diff_pq, proj_v), mult) ** 2
     # the right end's witness: V itself where V's value is already the
     # subspace norm's answer, else the frame subspace_norm found
     rhs_frame = frame_v
-    if diff_pq.is_zero:
+    if not diff_pq.any():
         rhs_bound = 0.0
     elif k == 0:
         # what subspace_norm at dim V = 1 returns: the sphere maximum of
         # p - q = p, or |p| at V's unit vector where that is larger; V's unit
         # vector is that maximizer, normalised
-        rhs_bound = fact * max(sm.value, abs(evaluate(diff_pq, frame_v.basis[:, 0]))) ** 2
+        rhs_bound = fact * max(sm.value, abs(evaluate(p, frame_v.basis[:, 0]))) ** 2
     elif frame_v.k == n:
-        rhs_bound = fact * bombieri_norm(diff_pq) ** 2
+        rhs_bound = fact * _table_norm(diff_pq, mult) ** 2
     else:
-        fm = subspace_norm(diff_pq, frame_v.k, cfg, extra_starts=(frame_v,))
+        fm = subspace_norm(_table_poly(n, d, diff_pq), frame_v.k, cfg, extra_starts=(frame_v,))
         rhs_frame, rhs_bound = fm.frame, fact * fm.value ** 2
     chain = ChainValues(
         lhs=defect,
@@ -415,11 +419,17 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
 
     norm_sq = _chain_norm_sq(p)
     tol = 1e-6 * norm_sq
-    # the identity (every k = 0 report) leaves p as it is, as in concentrate
+    # every form below is its coefficient vector over the exponent table; the
+    # identity (every k = 0 report) leaves p as it is, as in concentrate
+    combos, _, mult = _exponent_table(n, d)
     identity = np.array_equal(rotation, np.eye(n))
-    p_rot = p if identity else apply_orthogonal(p, rotation)
-    q = reconstruct(report.approx, n, d)
-    q_rot = q if identity or q.is_zero else apply_orthogonal(q, rotation)
+    if not identity and not is_orthonormal_columns(rotation):
+        raise ValueError("matrix is not orthogonal within 1e-10")
+    c_p = _table_coefs(p)
+    c_rot = c_p if identity else _substitute_table(n, d, c_p, rotation)
+    c_q = _power_sum(n, d, ((t.lam, t.u) for t in report.approx.terms))
+    if not identity and c_q.any():
+        c_q = _substitute_table(n, d, c_q, rotation)
 
     checks: dict = {}
     proj_v = frame_v.projection()
@@ -427,7 +437,7 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
         np.linalg.norm(proj_v[:, i] - np.eye(n)[:, i]) <= 1e-8 for i in range(k)
     )
 
-    parts = _parts_for(p_rot, k)
+    parts = {(): p} if k == 0 and identity else _tail_parts(n, d, k, c_rot)
     if set(report.z_alpha) != set(report.per_alpha):
         raise ValueError("report maximizer keys do not match its per-head values")
     lhs = 0.0
@@ -436,7 +446,7 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
     consistent_ok = True
     for head in sorted(report.z_alpha):
         part = parts.get(head)
-        if part is None or not isinstance(part, HomPoly):
+        if part is None:
             raise ValueError(f"report head {head} has no matching tail part")
         z = np.asarray(report.z_alpha[head], dtype=float)
         if abs(np.linalg.norm(z) - 1.0) > 1e-9:
@@ -453,37 +463,31 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
     checks["maximizers_in_frame"] = in_frame_ok
     checks["per_alpha_consistent"] = consistent_ok
 
-    p_v = project_subspace(p_rot, frame_v)
-    p_u = restrict_zero(p_rot, range(k))
-    diff_vu = p_v - p_u
-    diff_pq = p_rot - q_rot
+    c_v = _substitute_table(n, d, c_rot, proj_v)
+    # p_V minus p_rot restricted to the head variables (rows below k only)
+    diff_vu = c_v - np.where(combos[:, -1] < k, c_rot, 0.0)
+    diff_pq = c_rot - c_q
 
-    # mid1 via explicit per-term tail weights (head-wise Bombieri norms)
-    mid1 = 0.0
-    mid2_weights = 0.0
-    weights_ok = True
-    for alpha, c in diff_vu.terms.items():
-        head, tail = alpha[:k], alpha[k:]
-        hw = sum(head)
-        tail_m = multinomial(d - hw, tail)
-        head_m = multinomial(d, head + (d - hw,))
-        if head_m > math.factorial(d):
-            weights_ok = False
-        mid1 += c * c / tail_m
-        mid2_weights += fact * c * c / (head_m * tail_m)
-    checks["head_weights_bounded_by_d_factorial"] = weights_ok
-    mid2 = fact * bombieri_norm(diff_vu) ** 2
+    # mid1 and the middle scaling step from the exact integer head and tail
+    # weights of each monomial, read from the table
+    head_w, tail_w = _head_tail_weights(n, d, k)
+    mid1 = _table_norm(diff_vu, tail_w) ** 2
+    checks["head_weights_bounded_by_d_factorial"] = bool(
+        np.all(head_w[diff_vu != 0] <= math.factorial(d)))
+    mid2 = fact * _table_norm(diff_vu, mult) ** 2
+    mid2_weights = fact * _table_norm(diff_vu, head_w * tail_w) ** 2
     checks["weighted_sum_matches_norm"] = (
         abs(mid2 - mid2_weights) <= 1e-9 * (abs(mid2) + norm_sq)
     )
 
-    mid3 = fact * bombieri_norm(p_v - q_rot) ** 2
-    mid4 = fact * bombieri_norm(project_subspace(diff_pq, frame_v)) ** 2
+    mid3 = fact * _table_norm(c_v - c_q, mult) ** 2
+    mid4 = fact * _table_norm(_substitute_table(n, d, diff_pq, proj_v), mult) ** 2
     if np.array_equal(rhs_frame.basis, frame_v.basis):
         # the witness is V itself (every k = 0 report, dim V = n, p = q)
         rhs_bound = mid4
     else:
-        rhs_bound = fact * bombieri_norm(project_subspace(diff_pq, rhs_frame)) ** 2
+        rhs_bound = fact * _table_norm(
+            _substitute_table(n, d, diff_pq, rhs_frame.projection()), mult) ** 2
 
     budget = frame_budget(k, d)
     checks["dim_within_budget"] = frame_v.k <= budget

@@ -10,18 +10,38 @@ below eps times the input norm.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import HomPoly, _poly_from_table, bombieri_norm, evaluate, pow_linear, zero_poly
+from .poly import (
+    HomPoly,
+    _exponent_table,
+    _poly_from_table,
+    _pow_table,
+    _table_coefs,
+    _table_norm,
+    _table_poly,
+    _table_rows,
+    bombieri_norm,
+    evaluate,
+)
 from .sphere import OptimizerConfig, Rank1Term, SphereMax, operator_norm
+
+
+def check_tolerance(eps: float, name: str = "eps") -> None:
+    """Refuse a tolerance outside (0, 1], or one whose square underflows the
+    normal doubles, where 1/eps^2 and the ratios over eps^2 leave the range."""
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1], got {eps}")
+    if eps * eps < sys.float_info.min:
+        raise ValueError(f"{name} {eps} is too small: its square underflows")
 
 
 def step_bound(eps: float) -> int:
     """floor(1/eps^2): the guaranteed cap on the number of greedy terms."""
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    check_tolerance(eps)
     return int(math.floor(1.0 / (eps * eps)))
 
 
@@ -60,12 +80,21 @@ def greedy_approximate(p: HomPoly, eps: float,
     """
     if p.is_zero:
         raise ValueError("cannot approximate the zero polynomial")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    check_tolerance(eps)
     cfg = cfg or OptimizerConfig()
     input_norm = bombieri_norm(p)
     threshold = eps * input_norm
     cap = step_bound(eps)
+    # the residual is carried as its coefficient vector over the table; the
+    # first sphere maximum is taken on p itself, and every later residual
+    # lists p's terms in p's order, then the other monomials in table order,
+    # as subtracting from p's dict would (evaluate sums in that order)
+    mult = _exponent_table(p.n, p.d)[2]
+    coef = _table_coefs(p)
+    at = _table_rows(p)
+    lacking = np.ones(len(mult), bool)
+    lacking[at] = False
+    order = np.r_[at, np.flatnonzero(lacking)]
     res = p
     terms: list[Rank1Term] = []
     res_norms = [input_norm]
@@ -81,8 +110,9 @@ def greedy_approximate(p: HomPoly, eps: float,
             break
         lam = evaluate(res, top.argmax)
         terms.append(Rank1Term(lam=lam, u=top.argmax))
-        res = res - lam * pow_linear(top.argmax, p.d)
-        res_norms.append(bombieri_norm(res))
+        coef = coef - lam * _pow_table(top.argmax, p.d)
+        res = _table_poly(p.n, p.d, coef, order)
+        res_norms.append(_table_norm(coef, mult))
     return LowRankApprox(
         terms=tuple(terms),
         residual_bombieri=tuple(res_norms),
@@ -97,11 +127,21 @@ def greedy_approximate(p: HomPoly, eps: float,
 
 def reconstruct(approx: LowRankApprox, n: int, d: int) -> HomPoly:
     """Sum of the approximant's terms as a canonical polynomial."""
-    out = zero_poly(n, d)
-    for t in approx.terms:
-        if len(t.u) != n:
-            raise ValueError(f"term direction has length {len(t.u)}, expected {n}")
-        out = out + t.lam * pow_linear(t.u, d)
+    coef = _power_sum(n, d, ((t.lam, t.u) for t in approx.terms))
+    return _poly_from_table(n, d, _exponent_table(n, d)[0], coef)
+
+
+def _power_sum(n: int, d: int, terms) -> np.ndarray:
+    """Coefficient vector over _exponent_table(n, d) of sum lam (u . x)^d over
+    the (lam, u) pairs, added in their order."""
+    out = np.zeros(len(_exponent_table(n, d)[2]))
+    for lam, u in terms:
+        u = np.asarray(u, dtype=float)
+        if u.shape != (n,):
+            raise ValueError(f"term direction has length {len(u)}, expected {n}")
+        if not np.any(u):
+            raise ValueError("cannot raise the zero linear form to a power")
+        out = out + lam * _pow_table(u, d)
     return out
 
 

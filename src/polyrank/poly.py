@@ -31,6 +31,10 @@ PRUNE_REL = 1e-14
 # substitution of a larger form recurses on its n derivatives of degree d - 1.
 _DENSE_LIMIT = 4_000_000
 
+# Most rows an exponent table (and so any coefficient vector over it) may
+# have; the CLI refuses inputs and start arrays above it too.
+_TERM_LIMIT = 10_000_000
+
 
 @lru_cache(maxsize=1 << 16)
 def _multinomial_cached(d: int, alpha: tuple) -> int:
@@ -265,14 +269,26 @@ def pow_linear(u, d: int) -> HomPoly:
         raise ValueError("cannot raise the zero linear form to a power")
     _check_shape(u.size, d)
     support = np.flatnonzero(u)
-    combos, _, coef = _exponent_table(len(support), d)
-    pw = np.array([[u[i] ** a for a in range(d + 1)] for i in support])
+    return _poly_from_table(u.size, d, support[_exponent_table(len(support), d)[0]],
+                            _pow_table(u[support], d))
+
+
+def _pow_table(u: np.ndarray, d: int) -> np.ndarray:
+    """Coefficients of (u . x)^d over _exponent_table(len(u), d).
+
+    Each row is its multinomial times u[i] ** alpha_i in ascending i, the
+    powers taken one scalar at a time (numpy's array power can differ from
+    them in the last bit); a zero u[i] zeroes its rows, and the other rows
+    get the bits pow_linear gives them on the support of u.
+    """
+    combos, _, coef = _exponent_table(len(u), d)
+    pw = np.array([[u[i] ** a for a in range(d + 1)] for i in range(len(u))])
     # multinomial * u[i] ** alpha_i in ascending i, where i's run starts in the row
     for k in range(d):
         alpha = (combos == combos[:, k:k + 1]).sum(axis=1)
         starts = k == 0 or combos[:, k] != combos[:, k - 1]
         coef = coef * np.where(starts, pw[combos[:, k], alpha], 1.0)
-    return _poly_from_table(u.size, d, support[combos], coef)
+    return coef
 
 
 def restrict_zero(p: HomPoly, keep) -> HomPoly:
@@ -302,14 +318,22 @@ def dense_tensor(p: HomPoly) -> np.ndarray:
     cached = p.__dict__.get("_dense")
     if cached is not None:
         return cached
-    n, d = p.n, p.d
-    size = n ** d
+    size = p.n ** p.d
     if size > _DENSE_LIMIT:
         raise ValueError(f"dense tensor would need {size} entries (limit {_DENSE_LIMIT})")
-    T = np.zeros(size)
+    T = _symmetric_tensor(p.n, p.d, _table_coefs(p))
+    T.setflags(write=False)
+    object.__setattr__(p, "_dense", T)
+    return T
+
+
+def _symmetric_tensor(n: int, d: int, coef: np.ndarray) -> np.ndarray:
+    """The symmetric d-tensor of the form whose coefficient vector over
+    _exponent_table(n, d) is coef (n**d within _DENSE_LIMIT)."""
+    _, flat, mult = _exponent_table(n, d)
+    T = np.zeros(n ** d)
     # each monomial's value goes to its ascending index tuple ...
-    T[_flat_index(n, d, _index_tuples(p))] = [
-        c / _multinomial_cached(d, alpha) for alpha, c in p.terms.items()]
+    T[flat] = coef / mult
     T = T.reshape((n,) * d)
     # ... and on to every permutation of that tuple: a bubble-sort network of
     # compare-swaps maps each index tuple to its ascending one, so running it
@@ -319,25 +343,85 @@ def dense_tensor(p: HomPoly) -> np.ndarray:
     for a, b in reversed([(j, j + 1) for i in range(d - 1, 0, -1) for j in range(i)]):
         ordered = idx.reshape((n,) + (1,) * (d - 1 - a)) <= idx.reshape((n,) + (1,) * (d - 1 - b))
         T = np.where(ordered, T, T.swapaxes(a, b))
-    T.setflags(write=False)
-    object.__setattr__(p, "_dense", T)
     return T
+
+
+def _run_ranks(rows: np.ndarray) -> np.ndarray:
+    """The 1-based rank of each entry of an ascending index row within its run
+    of equal entries: their product over a row is prod(alpha_i!)."""
+    rank = np.ones_like(rows)
+    for k in range(1, rows.shape[1]):
+        rank[:, k] = np.where(rows[:, k] == rows[:, k - 1], rank[:, k - 1] + 1, 1)
+    return rank
 
 
 @lru_cache(maxsize=32)
 def _exponent_table(n: int, d: int):
     """The degree-d monomials in n variables in iter_exponents order: their
-    ascending index tuples, the flat index of that tuple in an n**d tensor,
-    and their multinomial coefficients as floats."""
+    ascending index tuples, the flat index of that tuple in an n**d tensor
+    (ascending, as the order is lexicographic), and their multinomial
+    coefficients as floats.  Refused above _TERM_LIMIT rows."""
+    size = num_exponents(n, d)
+    if size > _TERM_LIMIT:
+        raise ValueError(f"the degree-{d} monomials in {n} variables number {size}; "
+                         f"refusing tables above {_TERM_LIMIT}")
     combos = np.array(list(combinations_with_replacement(range(n), d)),
                       dtype=np.int64).reshape(-1, d)
-    # d! / prod(alpha_i!): the product of each entry's 1-based rank within its
-    # run of equal entries is prod(alpha_i!), exact in int64 as d <= 20
-    rank = np.ones_like(combos)
-    for k in range(1, d):
-        rank[:, k] = np.where(combos[:, k] == combos[:, k - 1], rank[:, k - 1] + 1, 1)
-    mult = (math.factorial(d) // np.prod(rank, axis=1)).astype(float)
+    # d! / prod(alpha_i!), exact in int64 as d <= 20
+    mult = (math.factorial(d) // np.prod(_run_ranks(combos), axis=1)).astype(float)
     return combos, _flat_index(n, d, combos), mult
+
+
+def _table_rows(p: HomPoly) -> np.ndarray:
+    """The row of each of p's terms, in term order, in _exponent_table(n, d),
+    found once per HomPoly and returned read-only on every later call."""
+    cached = p.__dict__.get("_rows")
+    if cached is not None:
+        return cached
+    flat = _exponent_table(p.n, p.d)[1]
+    rows = np.searchsorted(flat, _flat_index(p.n, p.d, _index_tuples(p)))
+    rows.setflags(write=False)
+    object.__setattr__(p, "_rows", rows)
+    return rows
+
+
+def _table_coefs(p: HomPoly) -> np.ndarray:
+    """p's coefficient vector over _exponent_table(n, d), zeros kept."""
+    out = np.zeros(len(_exponent_table(p.n, p.d)[1]))
+    if p.terms:
+        out[_table_rows(p)] = list(p.terms.values())
+    return out
+
+
+def _table_poly(n: int, d: int, coef: np.ndarray, order=None) -> HomPoly:
+    """The form with coefficient vector coef over _exponent_table(n, d), its
+    terms in table order (or in that of the rows `order`), with its dense
+    tensor attached within _DENSE_LIMIT."""
+    combos = _exponent_table(n, d)[0]
+    if order is None:
+        p = _poly_from_table(n, d, combos, coef)
+    else:
+        p = _poly_from_table(n, d, combos[order], coef[order])
+    if n ** d <= _DENSE_LIMIT:
+        T = _symmetric_tensor(n, d, coef)
+        T.setflags(write=False)
+        object.__setattr__(p, "_dense", T)
+    return p
+
+
+def _table_norm(coef: np.ndarray, weights: np.ndarray) -> float:
+    """sqrt(sum coef_i^2 / weights_i), summed on coef scaled by a power of two
+    as bombieri_norm sums; with the table's multinomials as weights it is the
+    Bombieri norm of the form with coefficient vector coef."""
+    big = float(np.max(np.abs(coef), initial=0.0))
+    if big == 0.0:
+        return 0.0
+    e = math.frexp(big)[1]
+    c = np.ldexp(coef, -e)
+    try:
+        return math.ldexp(math.sqrt(float(np.sum(c * c / weights))), e)
+    except OverflowError:
+        return math.inf
 
 
 def _index_tuples(p: HomPoly) -> np.ndarray:
@@ -384,7 +468,9 @@ def _derivative_table(n: int, J: np.ndarray, c: np.ndarray, order: int):
     Differentiating at each ordered tuple of `order` distinct positions of
     each row and dividing by the number of such tuples gives (key, rest,
     coefficient) rows, key being the flat index of the differentiated
-    variables; equal (key, rest) rows are merged, sorted by key.
+    variables; equal (key, rest) rows are merged, in lexicographic order (as
+    np.unique(axis=0) orders them, by one lexsort over the columns and a scan
+    for the boundaries instead of its sort of void-typed rows).
     """
     d = J.shape[1]
     tuples = list(permutations(range(d), order))
@@ -395,50 +481,67 @@ def _derivative_table(n: int, J: np.ndarray, c: np.ndarray, order: int):
         keys.append(_flat_index(n, order, J[:, list(pos)]))
         rests.append(np.delete(J, pos, axis=1))
     rows = np.column_stack([np.concatenate(keys), np.concatenate(rests)])
-    rows, inv = np.unique(rows, axis=0, return_inverse=True)
-    coef = np.bincount(inv.ravel(), weights=np.tile(c, len(tuples)) / len(tuples))
+    by = np.lexsort(rows.T[::-1])
+    rows = rows[by]
+    new = np.ones(len(rows), bool)
+    new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    inv = np.empty(len(rows), np.int64)
+    inv[by] = np.cumsum(new) - 1
+    coef = np.bincount(inv, weights=np.tile(c, len(tuples)) / len(tuples))
+    rows = rows[new]
     return rows[:, 0], rows[:, 1:], coef
 
 
-def _substituted_coefs(p: HomPoly, M: np.ndarray, start: int = 0) -> np.ndarray:
-    """Coefficients of p(M @ y) on the suffix of _exponent_table(n, d) whose
-    indices are all >= start: within _DENSE_LIMIT (or at d = 1) read from
+def _substituted_coefs(n: int, d: int, coef: np.ndarray, M: np.ndarray,
+                       start: int = 0) -> np.ndarray:
+    """Coefficients of p(M @ y), p the form whose coefficient vector over
+    _exponent_table(n, d) is coef, on the suffix of that table whose indices
+    are all >= start: within _DENSE_LIMIT (or at d = 1) read from
     T x_1 M ... x_d M, T the tensor of p; above it by Euler's identity
     p(M y) = sum_j y_j q_j(M y), q_j = (1/d) d_{M[:, j]} p of degree d - 1,
     reading each beta from q_j(M y) at beta - e_j, j its smallest index,
     times d / beta_j, with q_j(M y) recursing from start j.
     """
-    n, d = p.n, p.d
     combos, flat, mult = _exponent_table(n, d)
     s = np.searchsorted(combos[:, 0], start)
-    if not p.terms:
+    if not coef.any():
         return np.zeros(len(combos) - s)
     if n ** d <= _DENSE_LIMIT or d == 1:
-        T = dense_tensor(p)
+        T = _symmetric_tensor(n, d, coef).reshape(n, -1)
         for _ in range(d):
-            T = np.tensordot(T, M, axes=([0], [0]))
+            T = (T.T @ M).reshape(n, -1)
         return np.ravel(T)[flat[s:]] * mult[s:]
-    # the monomials x^rest of (1/d) d_var p, with coefficients c alpha_var / d
-    var, rest, coef = _derivative_table(n, _index_tuples(p), np.array(list(p.terms.values())), 1)
-    rest, inv = np.unique(rest, axis=0, return_inverse=True)
+    # the monomials x^rest of (1/d) d_var p, with coefficients c alpha_var / d,
+    # and the row of each rest in the degree-(d - 1) table
+    keep = np.flatnonzero(coef)
+    var, rest, dcoef = _derivative_table(n, combos[keep], coef[keep], 1)
+    rest_flat = _exponent_table(n, d - 1)[1]
+    at = np.searchsorted(rest_flat, _flat_index(n, d - 1, rest))
     out = np.empty(len(combos) - s)
     for j in range(start, n):
-        q = _poly_from_table(n, d - 1, rest, np.bincount(
-            inv.ravel(), weights=M[var, j] * coef, minlength=len(rest)))
+        q = np.bincount(at, weights=M[var, j] * dcoef, minlength=len(rest_flat))
         # the rows of smallest index j, less e_j, are the (d - 1)-suffix from j
         lo, hi = np.searchsorted(combos[:, 0], [j, j + 1]) - s
         beta_j = np.count_nonzero(combos[s + lo:s + hi] == j, axis=1)
-        out[lo:hi] = _substituted_coefs(q, M, j) * (d / beta_j)
+        out[lo:hi] = _substituted_coefs(n, d - 1, q, M, j) * (d / beta_j)
     return out
 
 
-def _substitute_linear(p: HomPoly, M: np.ndarray, prune_tol: float) -> HomPoly:
-    """Expand p(M @ y) and prune coefficients at or below prune_tol."""
-    if not p.terms:
+def _substitute_table(n: int, d: int, coef: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Coefficient vector of p(M @ y) for p given by its coefficient vector
+    over _exponent_table(n, d), with every coefficient at or below 1e-14
+    times p's largest set to zero."""
+    out = _substituted_coefs(n, d, coef, M)
+    out[np.abs(out) <= PRUNE_REL * np.max(np.abs(coef), initial=0.0)] = 0.0
+    return out
+
+
+def _substitute_linear(p: HomPoly, M: np.ndarray) -> HomPoly:
+    """p(M @ y), pruned as _substitute_table prunes."""
+    if p.is_zero:
         return zero_poly(p.n, p.d)
-    coef = _substituted_coefs(p, M)
-    keep = np.flatnonzero(np.abs(coef) > prune_tol)
-    return _poly_from_table(p.n, p.d, _exponent_table(p.n, p.d)[0][keep], coef[keep])
+    coef = _substitute_table(p.n, p.d, _table_coefs(p), M)
+    return _poly_from_table(p.n, p.d, _exponent_table(p.n, p.d)[0], coef)
 
 
 def apply_orthogonal(p: HomPoly, Q) -> HomPoly:
@@ -452,7 +555,7 @@ def apply_orthogonal(p: HomPoly, Q) -> HomPoly:
         raise ValueError(f"matrix shape {Q.shape} does not match n={p.n}")
     if not is_orthonormal_columns(Q):
         raise ValueError("matrix is not orthogonal within 1e-10")
-    return _substitute_linear(p, Q, PRUNE_REL * max_coeff_norm(p))
+    return _substitute_linear(p, Q)
 
 
 def project_subspace(p: HomPoly, frame: Frame) -> HomPoly:
@@ -463,13 +566,16 @@ def project_subspace(p: HomPoly, frame: Frame) -> HomPoly:
     """
     if frame.n != p.n:
         raise ValueError(f"frame ambient dimension {frame.n} does not match n={p.n}")
-    return _substitute_linear(p, frame.projection(), PRUNE_REL * max_coeff_norm(p))
+    return _substitute_linear(p, frame.projection())
 
 
 def quadratic_matrix(p: HomPoly) -> np.ndarray:
     """Symmetric matrix A with p(x) = x^T A x (d = 2 only), equal to dense_tensor(p)."""
     if p.d != 2:
         raise ValueError("quadratic_matrix needs a degree-2 form")
+    cached = p.__dict__.get("_dense")
+    if cached is not None:
+        return np.array(cached)
     i, j = _index_tuples(p).T
     A = np.zeros((p.n, p.n))
     A[i, j] = A[j, i] = np.array(list(p.terms.values())) * np.where(i == j, 1.0, 0.5)

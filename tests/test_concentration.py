@@ -8,7 +8,11 @@ import pytest
 from polyrank import (
     HomPoly,
     OptimizerConfig,
+    apply_orthogonal,
     evaluate,
+    iter_exponents,
+    multinomial,
+    restrict_zero,
     greedy_approximate,
     alpha_decompose,
     bombieri_norm,
@@ -26,11 +30,12 @@ from polyrank import (
     verify_chain,
 )
 from polyrank import concentration, sphere
+from polyrank import poly as poly_mod
 from polyrank.frames import Frame, coordinate_frame, gram_schmidt, random_orthogonal
 from polyrank.lowrank import LowRankApprox
 from polyrank.sphere import Rank1Term
 from polyrank.serialize import dumps_canonical, report_from_dict, report_to_dict
-from polyrank.generators import bombieri_gaussian, planted_lowrank
+from polyrank.generators import bombieri_gaussian, planted_lowrank, sparse_gaussian
 
 from conftest import poly_of
 
@@ -280,6 +285,82 @@ def test_concentrate_preconditions():
         concentrate(hard_family(3), 0.0, CFG)
     with pytest.raises(ValueError):
         concentrate(hard_family(3), 0.5, CFG, eps_inner=2.0)
+    # eps^2 and eps_inner^2 must stay normal doubles, and so must
+    # eps^2 ||p||_B^2, which the report's last ratio divides by
+    for eps, inner in ((1e-160, None), (0.5, 1e-300)):
+        with pytest.raises(ValueError, match="too small"):
+            concentrate(hard_family(3), eps, CFG, eps_inner=inner)
+    with pytest.raises(ValueError, match="underflows"):
+        concentrate(math.ldexp(1.0, -500) * hard_family(3), 1e-150, CFG, eps_inner=0.5)
+
+
+# ----------------------------------------------- coefficient vectors vs dicts
+
+def _vector_cases(rng):
+    """(form, its rotation by a random orthogonal matrix) on random Bombieri
+    and sparse forms, n = 3..7, d = 2..4."""
+    for n in range(3, 8):
+        for d in (2, 3, 4):
+            for p in (bombieri_gaussian(n, d, rng), sparse_gaussian(n, d, n + 2, rng)):
+                yield p, random_orthogonal(n, rng)
+
+
+def _parts_norm_sq(p, k):
+    """Sum over all heads of the squared Bombieri norm of the tail part, from
+    alpha_decompose (k = 0 the whole form, k = n the sum of squares)."""
+    if k == 0:
+        return bombieri_norm(p) ** 2
+    if k == p.n:
+        return sum(c * c for c in p.terms.values())
+    return sum(bombieri_norm(part) ** 2 if isinstance(part, HomPoly) else part * part
+               for part in alpha_decompose(p, k).parts.values())
+
+
+@pytest.mark.parametrize("lowered", [False, True], ids=["dense", "limit-n"])
+def test_vector_chain_terms_match_their_dict_definitions(rng, monkeypatch, lowered):
+    # the rotated form as concentrate carries it (with the dense limit lowered
+    # to n, by the derivative recursion) against the dict form apply_orthogonal
+    # gives at the default limit
+    cases = [(p, Q, apply_orthogonal(p, Q)) for p, Q in _vector_cases(rng)]
+    for p, Q, p_rot in cases:
+        n, d = p.n, p.d
+        if lowered:
+            monkeypatch.setattr(poly_mod, "_DENSE_LIMIT", n)
+        combos, _, mult = poly_mod._exponent_table(n, d)
+        coef = poly_mod._substitute_table(n, d, poly_mod._table_coefs(p), Q)
+        scale = bombieri_norm(p)
+        assert np.max(np.abs(coef - poly_mod._table_coefs(p_rot))) <= 1e-13 * scale
+        # the dict definitions, evaluated on the form the vector holds
+        held = poly_mod._poly_from_table(n, d, combos, coef)
+        norm = bombieri_norm(held)
+        assert poly_mod._table_norm(coef, mult) == pytest.approx(norm, rel=1e-13)
+        for k in range(n + 1):
+            head = np.where(combos[:, -1] < k, coef, 0.0)
+            assert np.array_equal(head, poly_mod._table_coefs(restrict_zero(held, range(k))))
+            head_w, tail_w = concentration._head_tail_weights(n, d, k)
+            assert np.array_equal(head_w * tail_w, mult.astype(np.int64))
+            mid1 = poly_mod._table_norm(coef, tail_w) ** 2
+            assert mid1 == pytest.approx(_parts_norm_sq(held, k), rel=1e-13)
+            parts = concentration._tail_parts(n, d, k, coef)
+            if k == 0:
+                want = {(): held}
+            elif k == n:
+                want = {}
+            else:
+                want = dict(concentration._low_heads(alpha_decompose(held, k)))
+            assert parts.keys() == want.keys()
+            for h, part in parts.items():
+                assert list(part.terms.items()) == list(want[h].terms.items())
+
+
+def test_head_weights_are_the_split_multinomials():
+    for n, d, k in ((4, 3, 2), (5, 4, 1), (3, 5, 3)):
+        head_w, tail_w = concentration._head_tail_weights(n, d, k)
+        for row, alpha in enumerate(iter_exponents(n, d)):
+            head, tail = alpha[:k], alpha[k:]
+            w = sum(head)
+            assert head_w[row] == multinomial(d, head + (d - w,))
+            assert tail_w[row] == multinomial(d - w, tail)
 
 
 # ------------------------------------------------------------------- verifier
@@ -374,17 +455,23 @@ def test_verify_chain_runs_no_maximizer(monkeypatch):
 
 def test_verify_chain_projects_once_when_the_witness_is_v(monkeypatch):
     (p0, rep0), (p1, rep1) = _cubic_reports()
-    frames = []
-    project = concentration.project_subspace
-    monkeypatch.setattr(concentration, "project_subspace",
-                        lambda q, f: frames.append(f) or project(q, f))
+    matrices = []
+    substitute = concentration._substitute_table
+    monkeypatch.setattr(concentration, "_substitute_table",
+                        lambda n, d, c, M: matrices.append(M) or substitute(n, d, c, M))
+
+    def projections(frame):
+        return [M for M in matrices if np.array_equal(M, frame.projection())]
+
     chk0 = verify_chain(p0, rep0, CFG)
     # p_rot and p - q onto V, and no third projection for the witness
-    assert len(frames) == 2 and all(f is rep0.frame_v for f in frames)
+    assert len(projections(rep0.frame_v)) == 2
     assert chk0.values.rhs_bound == chk0.values.mid4
-    frames.clear()
+    matrices.clear()
     verify_chain(p1, rep1, CFG)
-    assert len(frames) == 3 and frames[-1] is rep1.rhs_frame
+    assert len(projections(rep1.frame_v)) == 2
+    assert len(projections(rep1.rhs_frame)) == 1
+    assert np.array_equal(matrices[-1], rep1.rhs_frame.projection())
 
 
 def test_concentrate_witness_gives_its_rhs_bound():

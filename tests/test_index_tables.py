@@ -9,8 +9,10 @@ import pytest
 
 from polyrank import HomPoly, multinomial, sphere
 from polyrank.generators import bombieri_gaussian, sparse_gaussian
-from polyrank.poly import (_derivative_table, _exponent_table, dense_tensor, pow_linear,
-                           quadratic_matrix, quadratic_poly)
+from polyrank.frames import random_frame, random_orthogonal
+from polyrank.poly import (_derivative_table, _exponent_table, _pow_table, _substituted_coefs,
+                           _table_coefs, dense_tensor, pow_linear, quadratic_matrix,
+                           quadratic_poly)
 from polyrank.sphere import _Form
 
 
@@ -143,6 +145,19 @@ def test_pow_linear_builds_the_table_of_the_support_only():
     _same_terms(p, _pow_linear_loop(u, 5))
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("d", range(1, 6))
+def test_pow_table_gives_pow_linear_bits_over_the_whole_table(n, d):
+    # the greedy residual subtracts _pow_table: zero entries of u zero their
+    # rows (perhaps as -0.0), every other row has pow_linear's bits
+    for seed in range(3):
+        rng = np.random.default_rng((n, d, seed))
+        for pattern in range(5):
+            u = _direction(n, rng, pattern)
+            got = _pow_table(u, d) + 0.0
+            assert np.array_equal(_bits(got), _bits(_table_coefs(pow_linear(u, d))))
+
+
 @pytest.mark.parametrize("d", [0, 21])
 def test_pow_linear_refuses_a_degree_out_of_range(d):
     with pytest.raises(ValueError, match="degree"):
@@ -165,6 +180,9 @@ def test_quadratic_matrix_equals_dense_tensor_and_the_loop():
         A = quadratic_matrix(p)
         assert np.array_equal(_bits(A), _bits(dense_tensor(p)))
         assert np.array_equal(_bits(A), _bits(_quadratic_matrix_loop(p)))
+        # once the tensor is cached, a writable copy of it
+        B = quadratic_matrix(p)
+        assert B.flags.writeable and np.array_equal(_bits(B), _bits(A))
 
 
 def test_quadratic_matrix_works_beyond_the_dense_limit():
@@ -240,6 +258,23 @@ def test_dense_tensor_matches_the_per_term_loop():
             assert np.array_equal(_bits(dense_tensor(p)), _bits(_dense_tensor_loop(p)))
 
 
+@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("d", range(2, 5))
+def test_substitution_mode_products_match_tensordot(n, d):
+    # T x_1 M ... x_d M as (T.T @ M).reshape(n, -1), d times, against the
+    # tensordot loop it replaced
+    rng = np.random.default_rng((n, d))
+    for p in (bombieri_gaussian(n, d, rng), sparse_gaussian(n, d, 5, rng)):
+        for M in (random_orthogonal(n, rng), random_frame(n, 2, rng).projection()):
+            combos, flat, mult = _exponent_table(n, d)
+            T = dense_tensor(p)
+            for _ in range(d):
+                T = np.tensordot(T, M, axes=([0], [0]))
+            want = np.ravel(T)[flat] * mult
+            got = _substituted_coefs(n, d, _table_coefs(p), M)
+            assert np.array_equal(_bits(got), _bits(want))
+
+
 # ----------------------------------------------------- the gather kernel's rows
 
 def _gather_forms():
@@ -271,3 +306,32 @@ def test_gather_rows_match_the_sorted_per_term_rows(monkeypatch, p):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.array_equal(_bits(form._cg), _bits(cg))
     assert np.array_equal(_bits(form._ch), _bits(ch))
+
+
+def _derivative_table_unique(n, J, c, order):
+    """_derivative_table's rows merged by np.unique(axis=0), as they were."""
+    tuples = list(itertools.permutations(range(J.shape[1]), order))
+    keys = [(J[:, list(pos)] @ (n ** np.arange(order - 1, -1, -1))) for pos in tuples]
+    rests = [np.delete(J, pos, axis=1) for pos in tuples]
+    rows = np.column_stack([np.concatenate(keys), np.concatenate(rests)])
+    rows, inv = np.unique(rows, axis=0, return_inverse=True)
+    coef = np.bincount(inv.ravel(), weights=np.tile(c, len(tuples)) / len(tuples))
+    return rows[:, 0], rows[:, 1:], coef
+
+
+@pytest.mark.parametrize("p", list(_gather_forms()) + [
+    sparse_gaussian(16, 6, 10, np.random.default_rng(1)),
+    sparse_gaussian(3, 15, 5, np.random.default_rng(2)),
+    bombieri_gaussian(6, 4, np.random.default_rng(3))], ids=repr)
+def test_derivative_table_matches_np_unique(p):
+    # the lexsort and boundary scan give np.unique's rows, order and merged
+    # coefficients bit for bit, which the gather kernel and the substitution
+    # recursion share
+    J = np.array(_index_rows_loop(list(p.terms)), dtype=np.int64).reshape(len(p.terms), p.d)
+    c = np.array(list(p.terms.values()))
+    for order in (1, 2):
+        got = _derivative_table(p.n, J, c, order)
+        want = _derivative_table_unique(p.n, J, c, order)
+        for g, w in zip(got[:2], want[:2]):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert np.array_equal(_bits(got[2]), _bits(want[2]))

@@ -11,8 +11,10 @@ import pytest
 from polyrank import OptimizerConfig, bombieri_norm, concentrate, greedy_approximate
 from polyrank import generators, serialize, sphere
 from polyrank.cli import main
+from polyrank.concentration import ChainValues, ConcentrationReport
+from polyrank.frames import coordinate_frame
 from polyrank.generators import bombieri_gaussian
-from polyrank.lowrank import hard_family
+from polyrank.lowrank import LowRankApprox, hard_family
 from polyrank.serialize import (
     approx_from_dict,
     approx_to_dict,
@@ -534,6 +536,59 @@ def test_cli_restarts_guard(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "refusing" in proc.stderr
+
+
+def _huge_table_files(tmp_path):
+    """A valid 3-term form with n = 60, d = 8 (6.5e9 monomials in its exponent
+    table) and a well-formed k = 0 report of its dimensions."""
+    n, d = 60, 8
+    form = tmp_path / "huge.json"
+    form.write_text(json.dumps({"n": n, "d": d, "terms": [
+        {"alpha": [8] + [0] * 59, "c": 1.0},
+        {"alpha": [0, 4, 4] + [0] * 57, "c": -0.5},
+        {"alpha": [0] * 59 + [8], "c": 0.25}]}))
+    frame = coordinate_frame(n, [0])
+    rep = ConcentrationReport(
+        k=0, rotation=np.eye(n), defect=1.0, per_alpha={(): 1.0}, defect_inf=1.0,
+        chain=ChainValues(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, (0, 1, 1)),
+        z_alpha={(): np.eye(n)[0]}, frame_v=frame, rhs_frame=frame,
+        approx=LowRankApprox((), (1.0,), (1.0,), 0.5, 1.0, n, d),
+        eps=0.5, eps_inner=0.5, input_norm=1.0, ratios={})
+    report = tmp_path / "huge-rep.json"
+    report.write_text(dumps_canonical(report_to_dict(rep)))
+    return str(form), str(report)
+
+
+@pytest.mark.parametrize("command", ["concentrate", "chain-check", "approx"])
+def test_cli_refuses_a_form_whose_exponent_table_is_too_large(tmp_path, command):
+    # the form is tiny but every rotation, projection and greedy residual is a
+    # coefficient vector over its exponent table: refused before allocating it
+    form, report = _huge_table_files(tmp_path)
+    argv = {"concentrate": ["concentrate", form, "--eps", "0.5"],
+            "chain-check": ["chain-check", form, "--report", report],
+            "approx": ["approx", form, "--eps", "0.5"]}[command]
+    proc = _run_cli_capped(argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "refusing tables above" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["approx", _CUBIC, "--eps", "1e-160"],
+    ["approx", _CUBIC, "--eps", "1e-300"],
+    ["concentrate", _CUBIC, "--eps", "1e-160"],
+    ["concentrate", _CUBIC, "--eps", "0.9", "--eps-inner", "1e-300"],
+    ["bench", "--eps-list", "0.5,1e-300", "--d-list", "2", "--n-list", "3"],
+], ids=["approx-1e-160", "approx-1e-300", "concentrate-1e-160", "concentrate-inner-1e-300",
+        "bench-1e-300"])
+def test_cli_refuses_a_tolerance_whose_square_underflows(capsys, argv):
+    # 1/eps^2 overflows (or divides by zero) below about 1.5e-154
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too small" in err
 
 
 def test_cli_opnorm_linear_form_needs_no_square_guard(tmp_path):
