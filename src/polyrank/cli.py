@@ -103,19 +103,6 @@ def _refuse_square(p, command: str) -> None:
                        f"entries; refusing above {_TERM_LIMIT}")
 
 
-def _engine(p, k: int | None = None) -> str:
-    """Name of the engine sphere.operator_norm (k None) or sphere.subspace_norm
-    runs on p, following their dispatch: a closed form for linear forms and,
-    in subspace_norm, for the zero form and k = n; eigh for quadratics; for
-    d >= 3 the power-iteration ascent, which subspace_norm also runs at k = 1,
-    or HOOI."""
-    if p.d == 1 or (k is not None and (p.is_zero or k == p.n)):
-        return "closed-form"
-    if p.d == 2:
-        return "eigh"
-    return "power" if k in (None, 1) else "hooi"
-
-
 def cmd_opnorm(args) -> int:
     p = _load_poly(args.input)
     if args.oracle or p.d != 1:
@@ -131,7 +118,7 @@ def cmd_opnorm(args) -> int:
     else:
         sm = sphere.operator_norm(p, _config(args, p.n, d=p.d))
         payload = serialize.sphere_max_to_dict(sm)
-        payload["method"] = _engine(p)
+        payload["method"] = sm.method
         lines = [f"opnorm {_sig12(sm.value)}",
                  f"converged {str(sm.converged).lower()} iterations {sm.iterations_used}"]
     _emit(args, payload, lines)
@@ -157,7 +144,7 @@ def cmd_subnorm(args) -> int:
         fm = sphere.subspace_norm(p, args.k, _config(args, p.n, k=args.k, d=p.d))
         payload = serialize.frame_max_to_dict(fm)
         payload["k"] = args.k
-        payload["method"] = _engine(p, args.k)
+        payload["method"] = fm.method
         lines = [f"subnorm {_sig12(fm.value)}",
                  f"converged {str(fm.converged).lower()}"]
     _emit(args, payload, lines)

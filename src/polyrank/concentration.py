@@ -14,10 +14,14 @@ inequalities that bounds the defect by d! times the squared subspace-norm
 error of the approximation, evaluated on an explicit frame V containing the
 head coordinates and one maximizer direction per tail part.  The report keeps
 the frame of dimension dim V at which that error norm was found (the right
-end's witness).  `verify_chain` recomputes every link of the chain from the
-original form, evaluating both ends at the report's witnesses (the left end at
-its maximizer directions, the right end at its witness frame) rather than
-searching again.
+end's witness).  One evaluator, `_chain_values`, computes every number of the
+chain from the rotated form, the approximant, the per-head values and the two
+frames; `concentrate` searches for those inputs and calls it, and
+`verify_chain` recomputes the inputs from the original form, evaluating both
+ends at the report's witnesses (the left end at its maximizer directions, the
+right end at its witness frame) rather than searching again, and calls it too.
+So for a report `concentrate` wrote the verifier's chain equals the report's
+bit for bit, also after a round trip through canonical JSON.
 """
 
 from __future__ import annotations
@@ -160,8 +164,8 @@ class ConcentrationReport:
     the earlier ones is dropped), the rest complete them.  z_alpha holds the
     unit maximizer of each low-weight tail part, whose squared values are
     per_alpha.  rhs_frame is the frame of dimension dim V whose projected
-    error norm gives chain.rhs_bound: the subspace-norm maximizer's frame, or
-    V itself when k = 0, dim V = n or p = q.
+    error norm gives chain.rhs_bound: V itself unless the subspace-norm
+    maximizer ran (k >= 1, 1 < dim V < n and p != q), whose frame it is then.
     """
 
     k: int
@@ -245,30 +249,82 @@ def _chain_norm_sq(p: HomPoly) -> float:
     return norm_sq
 
 
+def _rotated(p: HomPoly, terms, rotation: np.ndarray):
+    """p(R y) and q(R y) = sum lam ((R^T u) . y)^d over the (lam, u) terms, as
+    coefficient vectors over _exponent_table(n, d), R the rotation; p is left
+    as it is when R is exactly the identity."""
+    n, d = p.n, p.d
+    c_p = _table_coefs(p)
+    c_rot = c_p if np.array_equal(rotation, np.eye(n)) else _substitute_table(n, d, c_p, rotation)
+    for t in terms:
+        if len(t.u) != n:
+            raise ValueError(f"term direction has length {len(t.u)}, expected {n}")
+    return c_rot, _power_sum(n, d, ((t.lam, rotation.T @ t.u) for t in terms))
+
+
+def _chain_values(n: int, d: int, k: int, c_rot: np.ndarray, c_q: np.ndarray,
+                  per_alpha: dict, frame_v: Frame, rhs_frame: Frame, tail_w: np.ndarray):
+    """The chain of the rotated form c_rot and its approximant c_q (vectors
+    over _exponent_table(n, d)) at head size k, and p_V - p_U, the form
+    projected onto V less its restriction to the head variables.
+
+    lhs sums per_alpha, the squared values of the tail parts at their
+    maximizers in sorted head order; mid1 weighs p_V - p_U by tail_w, the tail
+    weights of _head_tail_weights(n, d, k); rhs_bound is d! times the squared
+    error norm projected onto rhs_frame, which is mid4 when rhs_frame is V.
+    """
+    fact = float(math.factorial(d))
+    combos, _, mult = _exponent_table(n, d)
+    proj_v = frame_v.projection()
+    c_v = _substitute_table(n, d, c_rot, proj_v)
+    diff_pq = c_rot - c_q
+    # p_V minus p_rot restricted to the head variables (rows below k only)
+    diff_vu = c_v - np.where(combos[:, -1] < k, c_rot, 0.0)
+    mid4 = fact * _table_norm(_substitute_table(n, d, diff_pq, proj_v), mult) ** 2
+    if np.array_equal(rhs_frame.basis, frame_v.basis):
+        rhs_bound = mid4
+    else:
+        rhs_bound = fact * _table_norm(
+            _substitute_table(n, d, diff_pq, rhs_frame.projection()), mult) ** 2
+    chain = ChainValues(
+        lhs=sum(per_alpha.values(), 0.0),
+        mid1=_table_norm(diff_vu, tail_w) ** 2,
+        mid2=fact * _table_norm(diff_vu, mult) ** 2,
+        mid3=fact * _table_norm(c_v - c_q, mult) ** 2,
+        mid4=mid4,
+        rhs_bound=rhs_bound,
+        dims=(k, frame_v.k, frame_budget(k, d)),
+    )
+    return chain, diff_vu
+
+
 def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
                 eps_inner: float | None = None) -> ConcentrationReport:
     """Rotate p so its defect at a small head size is controlled.
 
     Pipeline: greedily approximate p at tolerance eps/d! (or eps_inner when
     given), orthonormalize the power directions in greedy order, rotate their
-    span onto the leading coordinates, measure the defect there, and fill in
-    the full inequality chain with an explicit frame V built from the head
-    coordinates plus the per-part maximizer directions.
+    span onto the leading coordinates, measure the defect there, build the
+    frame V from the head coordinates plus the per-part maximizer directions,
+    and search for the right end's witness frame; the chain itself comes from
+    _chain_values, the evaluator verify_chain calls.
 
     When the greedy loop returns no terms the report has k = 0 and the defect
     degenerates to the squared sphere max of the whole form.  That maximum is
     the one the greedy loop stopped on (LowRankApprox.stop_max): p is not
-    rotated, and no sphere or subspace maximizer runs again, since the
-    subspace norm at dim V = 1 is that maximum or |p| at V's unit vector.
-    A form whose d! ||p||_B^2 overflows or whose ||p||_B^2 underflows is
-    refused before any work, as verify_chain refuses it.
+    rotated, and no sphere or subspace maximizer runs again.  The witness is
+    V itself unless subspace_norm runs at dim V, which it does only for k >=
+    1, 1 < dim V < n and p != q; rhs_bound is always d! times the squared
+    error norm projected onto the witness.  At d >= 3 that search needs the
+    dense tensor, so above poly._DENSE_LIMIT such a form is refused after the
+    greedy stage.  A form whose d! ||p||_B^2 overflows or whose ||p||_B^2
+    underflows is refused before any work, as verify_chain refuses it.
     """
     if p.is_zero:
         raise ValueError("cannot concentrate the zero polynomial")
     check_tolerance(eps)
     cfg = cfg or OptimizerConfig()
     n, d = p.n, p.d
-    fact = float(math.factorial(d))
     inner = eps / math.factorial(d) if eps_inner is None else eps_inner
     check_tolerance(inner, "inner tolerance")
     if eps * eps * _chain_norm_sq(p) < sys.float_info.min:
@@ -277,87 +333,43 @@ def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
     input_norm = approx.input_norm
 
     # every form below is its coefficient vector over the exponent table
-    combos, _, mult = _exponent_table(n, d)
-    c_rot = _table_coefs(p)
     if approx.terms:
         head = gram_schmidt([t.u for t in approx.terms], _RANK_TOL)
         k = head.shape[1]
         rotation = complete_orthogonal(head)
-        c_rot = _substitute_table(n, d, c_rot, rotation)
     else:
         # no greedy step: the rotation is the identity, and the greedy
         # stage's last sphere maximum was taken on p itself
         k, rotation = 0, np.eye(n)
-    c_q = _power_sum(n, d, ((t.lam, rotation.T @ t.u) for t in approx.terms))
-
+    c_rot, c_q = _rotated(p, approx.terms, rotation)
     if k == 0:
-        sm = approx.stop_max
-        per_alpha = {(): sm.value ** 2}
-        z_alpha = {(): sm.argmax}
+        maxima = {(): approx.stop_max}
         defect_inf = max_coeff_norm(p) ** 2
     else:
         parts = _tail_parts(n, d, k, c_rot)
         maxima = {h: operator_norm(part, cfg) for h, part in sorted(parts.items())}
-        per_alpha = {h: sm.value ** 2 for h, sm in maxima.items()}
-        z_alpha = {h: sm.argmax for h, sm in maxima.items()}
         defect_inf = sum((max_coeff_norm(part) ** 2 for _, part in sorted(parts.items())), 0.0)
-    defect = sum(per_alpha.values())
+    # each value is |part| at its argmax, so these are the values verify_chain evaluates
+    per_alpha = {h: sm.value ** 2 for h, sm in maxima.items()}
+    z_alpha = {h: sm.argmax for h, sm in maxima.items()}
 
     frame_v = _build_v_frame(n, k, z_alpha)
-    proj_v = frame_v.projection()
-    c_v = _substitute_table(n, d, c_rot, proj_v)
-    diff_pq = c_rot - c_q
-    # p_V minus p_rot restricted to the head variables (rows below k only)
-    diff_vu = c_v - np.where(combos[:, -1] < k, c_rot, 0.0)
-    mid1 = _table_norm(diff_vu, _head_tail_weights(n, d, k)[1]) ** 2
-    mid2 = fact * _table_norm(diff_vu, mult) ** 2
-    mid3 = fact * _table_norm(c_v - c_q, mult) ** 2
-    mid4 = fact * _table_norm(_substitute_table(n, d, diff_pq, proj_v), mult) ** 2
-    # the right end's witness: V itself where V's value is already the
-    # subspace norm's answer, else the frame subspace_norm found
     rhs_frame = frame_v
-    if not diff_pq.any():
-        rhs_bound = 0.0
-    elif k == 0:
-        # what subspace_norm at dim V = 1 returns: the sphere maximum of
-        # p - q = p, or |p| at V's unit vector where that is larger; V's unit
-        # vector is that maximizer, normalised
-        rhs_bound = fact * max(sm.value, abs(evaluate(p, frame_v.basis[:, 0]))) ** 2
-    elif frame_v.k == n:
-        rhs_bound = fact * _table_norm(diff_pq, mult) ** 2
-    else:
-        fm = subspace_norm(_table_poly(n, d, diff_pq), frame_v.k, cfg, extra_starts=(frame_v,))
-        rhs_frame, rhs_bound = fm.frame, fact * fm.value ** 2
-    chain = ChainValues(
-        lhs=defect,
-        mid1=mid1,
-        mid2=mid2,
-        mid3=mid3,
-        mid4=mid4,
-        rhs_bound=rhs_bound,
-        dims=(k, frame_v.k, frame_budget(k, d)),
-    )
+    if k >= 1 and 1 < frame_v.k < n and np.any(c_rot != c_q):
+        fm = subspace_norm(_table_poly(n, d, c_rot - c_q), frame_v.k, cfg, extra_starts=(frame_v,))
+        rhs_frame = fm.frame
+    chain = _chain_values(n, d, k, c_rot, c_q, per_alpha, frame_v, rhs_frame,
+                          _head_tail_weights(n, d, k)[1])[0]
+    defect = chain.lhs
     ratios = {
         "defect_over_norm": defect / input_norm,
         "defect_over_norm_sq": defect / input_norm ** 2,
         "defect_over_eps_sq_norm_sq": defect / (eps * eps * input_norm ** 2),
     }
     return ConcentrationReport(
-        k=k,
-        rotation=rotation,
-        defect=defect,
-        per_alpha=per_alpha,
-        defect_inf=defect_inf,
-        chain=chain,
-        z_alpha=z_alpha,
-        frame_v=frame_v,
-        rhs_frame=rhs_frame,
-        approx=approx,
-        eps=eps,
-        eps_inner=inner,
-        input_norm=input_norm,
-        ratios=ratios,
-    )
+        k=k, rotation=rotation, defect=defect, per_alpha=per_alpha, defect_inf=defect_inf,
+        chain=chain, z_alpha=z_alpha, frame_v=frame_v, rhs_frame=rhs_frame, approx=approx,
+        eps=eps, eps_inner=inner, input_norm=input_norm, ratios=ratios)
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,14 +408,16 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
     middle scaling step is additionally verified at the level of exact integer
     monomial weights, and the right end is the projected error norm at the
     report's witness frame rhs_frame, a certified lower bound on the subspace
-    norm at dim V.  Each end must also match the value x the report states
+    norm at dim V.  The chain comes from _chain_values, the evaluator
+    concentrate calls, so for a report concentrate wrote it equals the stated
+    chain bit for bit.  Each end must also match the value x the report states
     to within 1e-9 (|x| + ||p||_B^2) (per_alpha_consistent, rhs_consistent),
     and so must the stated chain values lhs, mid1..mid4 and the defect, with
-    the stated dims equal (chain_consistent).  cfg is accepted for callers
-    that pass one and changes nothing.
+    the stated dims equal (chain_consistent); the tolerance leaves room for a
+    report written on another machine or Python version.  cfg is accepted for
+    callers that pass one and changes nothing.
     """
     n, d = p.n, p.d
-    fact = float(math.factorial(d))
     rotation = np.asarray(report.rotation, dtype=float)
     if rotation.shape != (n, n):
         raise ValueError("report rotation does not match the polynomial's dimensions")
@@ -419,99 +433,56 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
 
     norm_sq = _chain_norm_sq(p)
     tol = 1e-6 * norm_sq
-    # every form below is its coefficient vector over the exponent table; the
-    # identity (every k = 0 report) leaves p as it is, as in concentrate
-    combos, _, mult = _exponent_table(n, d)
+
+    def close(x, y):
+        return abs(x - y) <= 1e-9 * (abs(x) + norm_sq)
+
     identity = np.array_equal(rotation, np.eye(n))
     if not identity and not is_orthonormal_columns(rotation):
         raise ValueError("matrix is not orthogonal within 1e-10")
-    c_p = _table_coefs(p)
-    c_rot = c_p if identity else _substitute_table(n, d, c_p, rotation)
-    c_q = _power_sum(n, d, ((t.lam, t.u) for t in report.approx.terms))
-    if not identity and c_q.any():
-        c_q = _substitute_table(n, d, c_q, rotation)
-
-    checks: dict = {}
+    c_rot, c_q = _rotated(p, report.approx.terms, rotation)
     proj_v = frame_v.projection()
-    checks["frame_contains_head"] = all(
-        np.linalg.norm(proj_v[:, i] - np.eye(n)[:, i]) <= 1e-8 for i in range(k)
-    )
+    checks = {"frame_contains_head": all(
+        np.linalg.norm(proj_v[:, i] - np.eye(n)[:, i]) <= 1e-8 for i in range(k))}
 
+    # at k = 0 without rotation the one part is p itself, in p's term order,
+    # as concentrate's greedy stage evaluated it
     parts = {(): p} if k == 0 and identity else _tail_parts(n, d, k, c_rot)
     if set(report.z_alpha) != set(report.per_alpha):
         raise ValueError("report maximizer keys do not match its per-head values")
-    lhs = 0.0
-    units_ok = True
-    in_frame_ok = True
-    consistent_ok = True
-    for head in sorted(report.z_alpha):
-        part = parts.get(head)
-        if part is None:
+    zs = {h: np.asarray(report.z_alpha[h], dtype=float) for h in sorted(report.z_alpha)}
+    for head in zs:
+        if head not in parts:
             raise ValueError(f"report head {head} has no matching tail part")
-        z = np.asarray(report.z_alpha[head], dtype=float)
-        if abs(np.linalg.norm(z) - 1.0) > 1e-9:
-            units_ok = False
-        val = evaluate(part, z) ** 2
-        lhs += val
-        if abs(val - report.per_alpha[head]) > 1e-9 * (abs(val) + norm_sq):
-            consistent_ok = False
-        lifted = np.zeros(n)
-        lifted[k:] = z
-        if np.linalg.norm(proj_v @ lifted - lifted) > 1e-8:
-            in_frame_ok = False
-    checks["unit_maximizers"] = units_ok
-    checks["maximizers_in_frame"] = in_frame_ok
-    checks["per_alpha_consistent"] = consistent_ok
+    per_alpha = {h: evaluate(parts[h], z) ** 2 for h, z in zs.items()}
+    checks["unit_maximizers"] = all(abs(np.linalg.norm(z) - 1.0) <= 1e-9 for z in zs.values())
+    checks["maximizers_in_frame"] = all(
+        np.linalg.norm(proj_v[:, k:] @ z - np.r_[np.zeros(k), z]) <= 1e-8 for z in zs.values())
+    checks["per_alpha_consistent"] = all(
+        close(v, report.per_alpha[h]) for h, v in per_alpha.items())
 
-    c_v = _substitute_table(n, d, c_rot, proj_v)
-    # p_V minus p_rot restricted to the head variables (rows below k only)
-    diff_vu = c_v - np.where(combos[:, -1] < k, c_rot, 0.0)
-    diff_pq = c_rot - c_q
-
-    # mid1 and the middle scaling step from the exact integer head and tail
-    # weights of each monomial, read from the table
+    # the middle scaling step from the exact integer head and tail weights of
+    # each monomial, read from the table
     head_w, tail_w = _head_tail_weights(n, d, k)
-    mid1 = _table_norm(diff_vu, tail_w) ** 2
+    values, diff_vu = _chain_values(n, d, k, c_rot, c_q, per_alpha, frame_v, rhs_frame, tail_w)
     checks["head_weights_bounded_by_d_factorial"] = bool(
         np.all(head_w[diff_vu != 0] <= math.factorial(d)))
-    mid2 = fact * _table_norm(diff_vu, mult) ** 2
-    mid2_weights = fact * _table_norm(diff_vu, head_w * tail_w) ** 2
-    checks["weighted_sum_matches_norm"] = (
-        abs(mid2 - mid2_weights) <= 1e-9 * (abs(mid2) + norm_sq)
-    )
-
-    mid3 = fact * _table_norm(c_v - c_q, mult) ** 2
-    mid4 = fact * _table_norm(_substitute_table(n, d, diff_pq, proj_v), mult) ** 2
-    if np.array_equal(rhs_frame.basis, frame_v.basis):
-        # the witness is V itself (every k = 0 report, dim V = n, p = q)
-        rhs_bound = mid4
-    else:
-        rhs_bound = fact * _table_norm(
-            _substitute_table(n, d, diff_pq, rhs_frame.projection()), mult) ** 2
-
-    budget = frame_budget(k, d)
-    checks["dim_within_budget"] = frame_v.k <= budget
-    checks["rhs_consistent"] = (
-        abs(rhs_bound - report.chain.rhs_bound) <= 1e-9 * (abs(rhs_bound) + norm_sq)
-    )
+    checks["weighted_sum_matches_norm"] = close(
+        values.mid2, math.factorial(d) * _table_norm(diff_vu, head_w * tail_w) ** 2)
+    checks["dim_within_budget"] = frame_v.k <= values.dims[2]
     stated = report.chain
-    checks["chain_consistent"] = (
-        tuple(stated.dims) == (k, frame_v.k, budget)
-        and all(abs(x - y) <= 1e-9 * (abs(x) + norm_sq) for x, y in (
-            (lhs, stated.lhs), (lhs, report.defect), (mid1, stated.mid1),
-            (mid2, stated.mid2), (mid3, stated.mid3), (mid4, stated.mid4)))
-    )
+    checks["rhs_consistent"] = close(values.rhs_bound, stated.rhs_bound)
+    checks["chain_consistent"] = tuple(stated.dims) == values.dims and all(
+        close(x, y) for x, y in ((values.lhs, stated.lhs), (values.lhs, report.defect),
+                                 (values.mid1, stated.mid1), (values.mid2, stated.mid2),
+                                 (values.mid3, stated.mid3), (values.mid4, stated.mid4)))
 
     links = (
-        _le_link("part_maxima_le_part_norms", lhs, mid1, tol),
-        _le_link("part_norms_le_scaled_norm", mid1, mid2, tol),
-        _le_link("head_restriction_is_closest", mid2, mid3, tol),
-        _eq_link("projection_commutes_with_difference", mid3, mid4, tol),
-        _le_link("error_subspace_bound", mid4, rhs_bound, tol),
-    )
-    values = ChainValues(
-        lhs=lhs, mid1=mid1, mid2=mid2, mid3=mid3, mid4=mid4,
-        rhs_bound=rhs_bound, dims=(k, frame_v.k, budget),
+        _le_link("part_maxima_le_part_norms", values.lhs, values.mid1, tol),
+        _le_link("part_norms_le_scaled_norm", values.mid1, values.mid2, tol),
+        _le_link("head_restriction_is_closest", values.mid2, values.mid3, tol),
+        _eq_link("projection_commutes_with_difference", values.mid3, values.mid4, tol),
+        _le_link("error_subspace_bound", values.mid4, values.rhs_bound, tol),
     )
     passed = all(l.passed for l in links) and all(checks.values())
     return ChainCheck(values=values, links=links, checks=checks, tol=tol, passed=passed)

@@ -105,12 +105,15 @@ class SphereMax:
     max_iters.  The closed forms
     for d = 1 and d = 2 run no ascent: converged is True, iterations_used 0,
     and each of the 2n + restarts starts records the value and 0 iterations.
+    method names the branch that ran: closed-form (d = 1), eigh (d = 2) or
+    power (the ascent, d >= 3).
     """
 
     value: float
     argmax: np.ndarray
     converged: bool
     iterations_used: int
+    method: str
     start_values: tuple = ()
     start_iterations: tuple = ()
 
@@ -126,11 +129,14 @@ class FrameMax:
     d = 1).  converged describes the winning start only.  At d = 2 with 1 < k < n no start
     iterates: start_values holds the eigenvector frame's value followed by
     each extra start's, start_iterations a 0 for each, and converged is True.
+    method names the branch that ran: closed-form (zero form, k = n, d = 1),
+    at k = 1 the sphere maximizer's, eigh (d = 2) or hooi (d >= 3).
     """
 
     value: float
     frame: Frame
     converged: bool
+    method: str
     start_values: tuple = ()
     start_iterations: tuple = ()
 
@@ -520,6 +526,7 @@ def operator_norm(p: HomPoly, cfg: OptimizerConfig | None = None) -> SphereMax:
             x = x / np.linalg.norm(x)
         value = abs(evaluate(p, x))
         return SphereMax(value=value, argmax=x, converged=True, iterations_used=0,
+                         method="closed-form" if p.d == 1 else "eigh",
                          start_values=(value,) * n_starts,
                          start_iterations=(0,) * n_starts)
     # on the dense kernel the ascent and the polish run on p / 2^e (its largest
@@ -550,6 +557,7 @@ def operator_norm(p: HomPoly, cfg: OptimizerConfig | None = None) -> SphereMax:
         argmax=x,
         converged=bool(conv[win]),
         iterations_used=int(iters.max()),
+        method="power",
         start_values=tuple(math.ldexp(float(v), e) for v in per_run[mirrored]),
         start_iterations=tuple(int(i) for i in iters_run[mirrored]),
     )
@@ -804,14 +812,14 @@ def subspace_norm(p: HomPoly, k: int, cfg: OptimizerConfig | None = None,
         if f.n != p.n or f.k != k:
             raise ValueError("extra start frame has wrong dimensions")
     if p.is_zero:
-        return FrameMax(0.0, coordinate_frame(p.n, range(k)), True, ())
+        return FrameMax(0.0, coordinate_frame(p.n, range(k)), True, "closed-form")
     if k == p.n:
-        return FrameMax(bombieri_norm(p), Frame(p.n, p.n, np.eye(p.n)), True, ())
+        return FrameMax(bombieri_norm(p), Frame(p.n, p.n, np.eye(p.n)), True, "closed-form")
     if p.d == 1:
         # c.x projected to span(B) has norm ||B^T c||: any frame holding c/||c||
         c = dense_tensor(p)
         basis = complete_orthogonal((c / _frobenius(c)).reshape(-1, 1))[:, :k]
-        return FrameMax(bombieri_norm(p), Frame(p.n, k, basis), True, ())
+        return FrameMax(bombieri_norm(p), Frame(p.n, k, basis), True, "closed-form")
     if k == 1:
         sm = operator_norm(p, cfg)
         value, u = sm.value, sm.argmax
@@ -819,7 +827,7 @@ def subspace_norm(p: HomPoly, k: int, cfg: OptimizerConfig | None = None,
         for f, v in zip(extra_starts, extra):
             if v > value:
                 value, u = v, f.basis[:, 0]
-        return FrameMax(value, Frame(p.n, 1, u.reshape(-1, 1)), sm.converged,
+        return FrameMax(value, Frame(p.n, 1, u.reshape(-1, 1)), sm.converged, sm.method,
                         sm.start_values + tuple(extra),
                         sm.start_iterations + (0,) * len(extra))
     if p.d == 2:
@@ -830,7 +838,7 @@ def subspace_norm(p: HomPoly, k: int, cfg: OptimizerConfig | None = None,
         frames = [_fix_column_signs(V[:, top])] + [f.basis for f in extra_starts]
         values = tuple(_frobenius(B.T @ A @ B) for B in frames)
         best = _first_best(values)
-        return FrameMax(values[best], Frame(p.n, k, frames[best]), True, values,
+        return FrameMax(values[best], Frame(p.n, k, frames[best]), True, "eigh", values,
                         (0,) * len(values))
     # HOOI runs on T scaled by a power of two so its largest entry is in
     # [0.5, 1), where the squares in g and M neither overflow nor underflow;
@@ -849,6 +857,7 @@ def subspace_norm(p: HomPoly, k: int, cfg: OptimizerConfig | None = None,
         value=math.ldexp(math.sqrt(max(g[best], 0.0)), e),
         frame=Frame(p.n, k, B[best]),
         converged=bool(conv[best]),
+        method="hooi",
         start_values=tuple(math.ldexp(math.sqrt(max(v, 0.0)), e) for v in g),
         start_iterations=tuple(int(i) for i in iters),
     )

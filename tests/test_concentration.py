@@ -9,7 +9,6 @@ from polyrank import (
     HomPoly,
     OptimizerConfig,
     apply_orthogonal,
-    evaluate,
     iter_exponents,
     multinomial,
     restrict_zero,
@@ -194,10 +193,11 @@ def test_concentrate_k0_runs_no_ascent_beyond_the_greedy_stage(monkeypatch, rng)
     assert rep.per_alpha == {(): sm.value ** 2}
     assert np.array_equal(rep.z_alpha[()], sm.argmax)
     assert np.array_equal(rep.rotation, np.eye(5))
-    # dim V = 1: the subspace norm of p - q = p at V with V as an extra start
-    v = rep.frame_v.basis[:, 0]
+    # dim V = 1: the witness is V, so the right end is mid4, the projected
+    # error norm verify_chain recomputes, and it agrees with the subspace norm
+    # of p - q = p at V with V as an extra start
     fact = math.factorial(3)
-    assert rep.chain.rhs_bound == fact * max(sm.value, abs(evaluate(p, v))) ** 2
+    assert rep.chain.rhs_bound == rep.chain.mid4 == verify_chain(p, rep).values.rhs_bound
     assert rep.chain.rhs_bound == pytest.approx(
         fact * subspace_norm(p, 1, CFG, extra_starts=(rep.frame_v,)).value ** 2, rel=1e-15)
     assert verify_chain(p, rep, CFG).passed
@@ -409,6 +409,42 @@ def test_chain_values_recomputed_close_to_pipeline(rng):
     assert chk.values.lhs == pytest.approx(rep.chain.lhs, abs=1e-9 * scale)
     assert chk.values.mid2 == pytest.approx(rep.chain.mid2, abs=1e-8 * scale)
     assert chk.values.mid4 == pytest.approx(rep.chain.mid4, abs=1e-8 * scale)
+
+
+def _chain_bits(cv):
+    """The chain's fields, each real as the hex of its bits."""
+    return [float(x).hex() if isinstance(x, float) else x for x in dataclasses.astuple(cv)]
+
+
+def _assert_verifier_restates_the_chain(p, rep):
+    want = _chain_bits(rep.chain)
+    assert _chain_bits(verify_chain(p, rep).values) == want
+    back = report_from_dict(json.loads(dumps_canonical(report_to_dict(rep))))
+    assert _chain_bits(verify_chain(p, back).values) == want
+
+
+def test_verify_chain_reproduces_the_stated_chain_bit_for_bit():
+    # one evaluator computes the chain for both, so the verifier restates
+    # every report concentrate writes exactly, also across the canonical JSON
+    kinds = set()
+    for d in (2, 3):
+        for n in range(4, 9):
+            for eps_inner in (0.45, 0.9):
+                p = bombieri_gaussian(n, d, np.random.default_rng((n, d)))
+                rep = concentrate(p, 0.9, CHAIN_CFG, eps_inner=eps_inner)
+                k, dim_v, _ = rep.chain.dims
+                kinds.add("k = 0" if k == 0 else "dim V = n" if dim_v == n else "1 < dim V < n")
+                _assert_verifier_restates_the_chain(p, rep)
+    assert kinds == {"k = 0", "1 < dim V < n", "dim V = n"}
+
+
+def test_verify_chain_reproduces_a_k0_chain_above_the_dense_limit(monkeypatch):
+    p = bombieri_gaussian(7, 3, np.random.default_rng((7, 3)))
+    monkeypatch.setattr(poly_mod, "_DENSE_LIMIT", 7)
+    monkeypatch.setattr(sphere, "_DENSE_LIMIT", 7)
+    rep = concentrate(p, 0.9, CHAIN_CFG, eps_inner=0.9)
+    assert rep.k == 0
+    _assert_verifier_restates_the_chain(p, rep)
 
 
 def test_chain_mismatched_report_rejected(rng):

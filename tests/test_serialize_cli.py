@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from polyrank import OptimizerConfig, bombieri_norm, concentrate, greedy_approximate
-from polyrank import generators, serialize, sphere
+from polyrank import concentration, generators, serialize, sphere
+from polyrank import poly as poly_mod
 from polyrank.cli import main
 from polyrank.concentration import ChainValues, ConcentrationReport
 from polyrank.frames import coordinate_frame
@@ -430,6 +431,39 @@ def test_cli_chain_check_parses_a_valid_report_to_the_same_values(degree3_report
     assert type(obj.k) is int and type(obj.eps) is float
     assert all(type(x) is int for x in obj.chain.dims)
     assert report_from_dict({**rep, "eps": 1}).eps == 1.0
+
+
+def test_cli_chain_check_refuses_a_greedy_direction_of_the_wrong_length(tmp_path, capsys,
+                                                                        degree3_report):
+    # the length is checked before the direction is rotated, so the error
+    # names it rather than the matrix product that would fail
+    poly_path, rep = degree3_report
+    report_path = _edited_report(tmp_path, rep, ("approx", "terms", 0, "u"),
+                                 lambda _: [1.0, 0.0, 0.0, 0.0])
+    code, out, err = run_cli(["chain-check", str(poly_path), "--report", str(report_path)],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: term direction has length 4, expected 5\n"
+
+
+def test_cli_concentrate_refuses_a_frame_search_above_the_dense_limit(tmp_path, capsys,
+                                                                      monkeypatch):
+    # at d >= 3 the frame maximizer at 1 < dim V < n needs the dense tensor, so
+    # above the dense limit concentrate cannot close such a chain: one line
+    p = bombieri_gaussian(5, 3, np.random.default_rng(7))
+    poly_path = tmp_path / "p.json"
+    poly_path.write_text(poly_dumps(p))
+    monkeypatch.setattr(poly_mod, "_DENSE_LIMIT", 5)
+    monkeypatch.setattr(sphere, "_DENSE_LIMIT", 5)
+    searched = []
+    frame_search = concentration.subspace_norm
+    monkeypatch.setattr(concentration, "subspace_norm",
+                        lambda q, k, *a, **kw: searched.append(k) or frame_search(q, k, *a, **kw))
+    code, out, err = run_cli(["concentrate", str(poly_path), "--eps", "0.9", "--eps-inner",
+                              "0.4", "--restarts", "8", "--seed", "23"], capsys)
+    assert len(searched) == 1 and 1 < searched[0] < 5
+    assert (code, out) == (1, "")
+    assert err == "error: dense tensor would need 125 entries (limit 5)\n"
 
 
 @pytest.mark.parametrize("c", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
