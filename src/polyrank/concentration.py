@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -187,12 +188,21 @@ class ConcentrationReport:
 def _tail_parts(n: int, d: int, k: int, coef: np.ndarray) -> dict:
     """The low-weight head parts of the form whose coefficient vector over
     _exponent_table(n, d) is coef, with k = 0 meaning the whole form: the
-    parts alpha_decompose gives that form with its terms in table order.
+    parts alpha_decompose gives that form with its terms in table order,
+    each held as its slice of coef (see _head_slices)."""
+    return {alpha: _table_poly(n - k, d - w, coef[lo:hi])
+            for alpha, w, lo, hi in _head_slices(n, d, k) if np.any(coef[lo:hi])}
 
-    The rows of one head of weight w are consecutive in the table (its
+
+@lru_cache(maxsize=64)
+def _head_slices(n: int, d: int, k: int) -> tuple:
+    """(head exponent, head weight w, lo, hi) for each head of weight w < d
+    over the first k variables, in table order.
+
+    The rows of one head are consecutive in _exponent_table(n, d) (its
     entries below k lead each row), and their tails, less k, are the rows of
-    _exponent_table(n - k, d - w) in order: that slice of coef is the part's
-    coefficient vector.
+    _exponent_table(n - k, d - w) in order: rows lo..hi - 1 of a coefficient
+    vector are the part's coefficient vector.
     """
     combos = _exponent_table(n, d)[0]
     head = np.where(combos < k, combos, k)
@@ -200,19 +210,17 @@ def _tail_parts(n: int, d: int, k: int, coef: np.ndarray) -> dict:
     starts = np.flatnonzero(np.r_[True, np.any(head[1:] != head[:-1], axis=1)])
     ends = np.r_[starts[1:], len(combos)]
     low = weight[starts] < d
-    parts = {}
-    for lo, hi in zip(starts[low].tolist(), ends[low].tolist()):
-        if np.any(coef[lo:hi]):
-            w = weight[lo]
-            alpha = tuple(np.bincount(combos[lo, :w], minlength=k).tolist())
-            parts[alpha] = _table_poly(n - k, d - w, coef[lo:hi])
-    return parts
+    return tuple((tuple(np.bincount(combos[lo, :weight[lo]], minlength=k).tolist()),
+                  int(weight[lo]), lo, hi)
+                 for lo, hi in zip(starts[low].tolist(), ends[low].tolist()))
 
 
+@lru_cache(maxsize=16)
 def _head_tail_weights(n: int, d: int, k: int):
     """Over _exponent_table(n, d), each monomial's exact int64 head weight
     d! / (head! (d - |head|)!) and tail weight (d - |head|)! / tail!, whose
-    product is its multinomial (head the exponents of the first k variables)."""
+    product is its multinomial (head the exponents of the first k variables);
+    built once per shape, read-only."""
     combos = _exponent_table(n, d)[0]
     rank = _run_ranks(combos)
     in_head = combos < k
@@ -220,7 +228,10 @@ def _head_tail_weights(n: int, d: int, k: int):
     tail_fact = np.prod(np.where(in_head, 1, rank), axis=1)
     fact = np.array([math.factorial(i) for i in range(d + 1)], dtype=np.int64)
     rest = fact[d - np.count_nonzero(in_head, axis=1)]
-    return fact[d] // (head_fact * rest), rest // tail_fact
+    head_w, tail_w = fact[d] // (head_fact * rest), rest // tail_fact
+    head_w.setflags(write=False)
+    tail_w.setflags(write=False)
+    return head_w, tail_w
 
 
 def _build_v_frame(n: int, k: int, z_alpha: dict) -> Frame:

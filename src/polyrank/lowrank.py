@@ -85,17 +85,18 @@ def greedy_approximate(p: HomPoly, eps: float,
     input_norm = bombieri_norm(p)
     threshold = eps * input_norm
     cap = step_bound(eps)
-    # the residual is carried as its coefficient vector over the table; the
-    # first sphere maximum is taken on p itself, and every later residual
-    # lists p's terms in p's order, then the other monomials in table order,
-    # as subtracting from p's dict would (evaluate sums in that order)
+    # the residual is carried as its coefficient vector over the table, and
+    # reaches the sphere maximizer and evaluate as that vector (see
+    # poly._table_poly); it lists p's terms in p's order, then the other
+    # monomials in table order, as subtracting from p's dict would (evaluate
+    # sums in that order), so the first residual is p, term for term
     mult = _exponent_table(p.n, p.d)[2]
     coef = _table_coefs(p)
     at = _table_rows(p)
     lacking = np.ones(len(mult), bool)
     lacking[at] = False
     order = np.r_[at, np.flatnonzero(lacking)]
-    res = p
+    res = _table_poly(p.n, p.d, coef, order)
     terms: list[Rank1Term] = []
     res_norms = [input_norm]
     res_ests = []

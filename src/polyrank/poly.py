@@ -11,6 +11,7 @@ identity <p, (u.x)^d> = p(u) for unit-weight powers of linear forms.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
@@ -171,6 +172,14 @@ def evaluate(p: HomPoly, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n,):
         raise ValueError(f"point has shape {x.shape}, expected ({p.n},)")
+    if isinstance(p.terms, _TableTerms):
+        # the loop below over the table rows, in the same order of terms and
+        # of factors; cumsum adds in order as += does, and + 0.0 turns the
+        # -0.0 that only -0.0 terms sum to into the loop's 0.0
+        rows = p.terms.rows
+        if not len(rows):
+            return 0.0
+        return float(np.cumsum(_monomials(p.n, p.d, x, p.terms.coef[rows], rows))[-1] + 0.0)
     total = 0.0
     for alpha, c in p.terms.items():
         m = c
@@ -243,10 +252,18 @@ def bombieri_norm(p: HomPoly) -> float:
     if big == 0.0:
         return 0.0
     e = math.frexp(big)[1]
-    total = 0.0
-    for alpha, c in p.terms.items():
-        c = math.ldexp(c, -e)
-        total += c * c / _multinomial_cached(p.d, alpha)
+    if isinstance(p.terms, _TableTerms):
+        # the loop below over the vector: cumsum adds in order as += does.
+        # Only an infinite coefficient leaves c unscaled, and then the norm
+        # is inf
+        c = np.ldexp(_term_coefs(p), -e)
+        with np.errstate(over="ignore"):
+            total = float(np.cumsum(c * c / _exponent_table(p.n, p.d)[2][p.terms.rows])[-1])
+    else:
+        total = 0.0
+        for alpha, c in p.terms.items():
+            c = math.ldexp(c, -e)
+            total += c * c / _multinomial_cached(p.d, alpha)
     try:
         return math.ldexp(math.sqrt(total), e)
     except OverflowError:
@@ -255,9 +272,7 @@ def bombieri_norm(p: HomPoly) -> float:
 
 def max_coeff_norm(p: HomPoly) -> float:
     """Largest absolute coefficient; 0 for the zero polynomial."""
-    if not p.terms:
-        return 0.0
-    return max(abs(c) for c in p.terms.values())
+    return float(np.max(np.abs(_term_coefs(p)), initial=0.0))
 
 
 def pow_linear(u, d: int) -> HomPoly:
@@ -274,21 +289,47 @@ def pow_linear(u, d: int) -> HomPoly:
 
 
 def _pow_table(u: np.ndarray, d: int) -> np.ndarray:
-    """Coefficients of (u . x)^d over _exponent_table(len(u), d).
+    """Coefficients of (u . x)^d over _exponent_table(len(u), d): each row's
+    multinomial times u[i] ** alpha_i in ascending i (see _monomials).  A
+    zero u[i] zeroes its rows, and the other rows get the bits pow_linear
+    gives them on the support of u."""
+    return _monomials(len(u), d, u, _exponent_table(len(u), d)[2])
 
-    Each row is its multinomial times u[i] ** alpha_i in ascending i, the
-    powers taken one scalar at a time (numpy's array power can differ from
-    them in the last bit); a zero u[i] zeroes its rows, and the other rows
-    get the bits pow_linear gives them on the support of u.
-    """
-    combos, _, coef = _exponent_table(len(u), d)
-    pw = np.array([[u[i] ** a for a in range(d + 1)] for i in range(len(u))])
-    # multinomial * u[i] ** alpha_i in ascending i, where i's run starts in the row
+
+@lru_cache(maxsize=32)
+def _power_index(n: int, d: int) -> np.ndarray:
+    """Over _exponent_table(n, d), the factor each position of an index tuple
+    contributes to its monomial, as a flat index into an n x (d + 1) table of
+    powers: variable i to the power alpha_i where i's run of equal entries
+    starts, to the power 0 at the run's other positions; read-only."""
+    combos = _exponent_table(n, d)[0]
+    F = combos * (d + 1)
     for k in range(d):
         alpha = (combos == combos[:, k:k + 1]).sum(axis=1)
         starts = k == 0 or combos[:, k] != combos[:, k - 1]
-        coef = coef * np.where(starts, pw[combos[:, k], alpha], 1.0)
-    return coef
+        F[:, k] += np.where(starts, alpha, 0)
+    F.setflags(write=False)
+    return F
+
+
+def _monomials(n: int, d: int, x: np.ndarray, c: np.ndarray, rows=None) -> np.ndarray:
+    """c times x^alpha over the rows of _exponent_table(n, d) (or over the
+    rows `rows`, which c then follows): from c, each row multiplies in
+    x[i] ** alpha_i in ascending i, as the term loop of evaluate does.  The
+    powers are taken one scalar at a time as that loop takes them (numpy's
+    array power can differ in the last bit); x ** 1 is x and x ** 0 is 1
+    exactly, and a position inside a run multiplies by 1."""
+    F = _power_index(n, d)
+    if rows is not None:
+        F = F[rows]
+    pw = np.empty((n, d + 1))
+    pw[:, 0], pw[:, 1] = 1.0, x
+    for a in range(2, d + 1):
+        pw[:, a] = [xi ** a for xi in x]
+    pw = pw.ravel()
+    for k in range(d):
+        c = c * pw.take(F[:, k])
+    return c
 
 
 def restrict_zero(p: HomPoly, keep) -> HomPoly:
@@ -365,10 +406,29 @@ def _exponent_table(n: int, d: int):
     if size > _TERM_LIMIT:
         raise ValueError(f"the degree-{d} monomials in {n} variables number {size}; "
                          f"refusing tables above {_TERM_LIMIT}")
-    combos = np.array(list(combinations_with_replacement(range(n), d)),
-                      dtype=np.int64).reshape(-1, d)
-    # d! / prod(alpha_i!), exact in int64 as d <= 20
-    mult = (math.factorial(d) // np.prod(_run_ranks(combos), axis=1)).astype(float)
+    # the tuples of length l + 1 that start with i are i followed by the
+    # tuples of length l whose entries are all >= i, which are the suffix of
+    # the length-l table from its first row starting with i; the rows are
+    # filled column by column, so no temporary holds more than one column
+    combos = np.arange(n, dtype=np.int64)[:, None]
+    for length in range(2, d + 1):
+        starts = np.searchsorted(combos[:, 0], np.arange(n))
+        counts = len(combos) - starts
+        # new row r continues old row rest[r]
+        rest = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        rest += np.arange(len(rest))
+        out = np.empty((len(rest), length), np.int64)
+        out[:, 0] = np.repeat(np.arange(n), counts)
+        for j in range(length - 1):
+            out[:, j + 1] = combos[rest, j]
+        combos = out
+    # d! / prod(alpha_i!), exact in int64 as d <= 20: prod(alpha_i!) is the
+    # product over a row of each entry's rank in its run of equal entries
+    rank, fact = np.ones(len(combos), np.int64), np.ones(len(combos), np.int64)
+    for k in range(1, d):
+        rank = np.where(combos[:, k] == combos[:, k - 1], rank + 1, 1)
+        fact *= rank
+    mult = (math.factorial(d) // fact).astype(float)
     return combos, _flat_index(n, d, combos), mult
 
 
@@ -387,21 +447,70 @@ def _table_rows(p: HomPoly) -> np.ndarray:
 
 def _table_coefs(p: HomPoly) -> np.ndarray:
     """p's coefficient vector over _exponent_table(n, d), zeros kept."""
+    if isinstance(p.terms, _TableTerms):
+        return p.terms.coef
     out = np.zeros(len(_exponent_table(p.n, p.d)[1]))
     if p.terms:
-        out[_table_rows(p)] = list(p.terms.values())
+        out[_table_rows(p)] = _term_coefs(p)
     return out
+
+
+def _term_coefs(p: HomPoly) -> np.ndarray:
+    """p's coefficients in term order."""
+    if isinstance(p.terms, _TableTerms):
+        return p.terms.coef[p.terms.rows]
+    return np.array(list(p.terms.values()), dtype=float)
+
+
+class _TableTerms(Mapping):
+    """The term map of a form held as its coefficient vector coef over
+    _exponent_table(n, d), rows listing its nonzero rows in term order.  Its
+    length is known at once; the dict itself is built on first use, so a
+    form that only meets the maximizers and evaluate never builds one."""
+
+    __slots__ = ("n", "d", "coef", "rows", "_dict")
+
+    def __init__(self, n: int, d: int, coef: np.ndarray, rows: np.ndarray):
+        self.n, self.d, self.coef, self.rows, self._dict = n, d, coef, rows, None
+
+    def _terms(self):
+        if self._dict is None:
+            combos = _exponent_table(self.n, self.d)[0]
+            self._dict = _poly_from_table(self.n, self.d, combos[self.rows],
+                                          self.coef[self.rows]).terms
+        return self._dict
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(self._terms())
+
+    def __getitem__(self, alpha):
+        return self._terms()[alpha]
+
+    def keys(self):
+        return self._terms().keys()
+
+    def values(self):
+        return self._terms().values()
+
+    def items(self):
+        return self._terms().items()
 
 
 def _table_poly(n: int, d: int, coef: np.ndarray, order=None) -> HomPoly:
     """The form with coefficient vector coef over _exponent_table(n, d), its
-    terms in table order (or in that of the rows `order`), with its dense
-    tensor attached within _DENSE_LIMIT."""
-    combos = _exponent_table(n, d)[0]
-    if order is None:
-        p = _poly_from_table(n, d, combos, coef)
-    else:
-        p = _poly_from_table(n, d, combos[order], coef[order])
+    terms in table order (or in that of the rows `order`), held as that
+    vector (see _TableTerms), with its dense tensor attached within
+    _DENSE_LIMIT."""
+    coef = coef.view()
+    coef.setflags(write=False)
+    rows = np.flatnonzero(coef) if order is None else order[coef[order] != 0]
+    rows.setflags(write=False)
+    p = object.__new__(HomPoly)
+    for name, value in (("n", n), ("d", d), ("terms", _TableTerms(n, d, coef, rows))):
+        object.__setattr__(p, name, value)
     if n ** d <= _DENSE_LIMIT:
         T = _symmetric_tensor(n, d, coef)
         T.setflags(write=False)
@@ -427,6 +536,8 @@ def _table_norm(coef: np.ndarray, weights: np.ndarray) -> float:
 def _index_tuples(p: HomPoly) -> np.ndarray:
     """The ascending variable-index tuple of each monomial of p, in term order:
     alpha repeats variable i alpha_i times."""
+    if isinstance(p.terms, _TableTerms):
+        return _exponent_table(p.n, p.d)[0][p.terms.rows]
     A = np.array(list(p.terms), dtype=np.int64).reshape(len(p.terms), p.n)
     return np.repeat(np.tile(np.arange(p.n), len(A)), A.ravel()).reshape(len(A), p.d)
 
@@ -578,7 +689,7 @@ def quadratic_matrix(p: HomPoly) -> np.ndarray:
         return np.array(cached)
     i, j = _index_tuples(p).T
     A = np.zeros((p.n, p.n))
-    A[i, j] = A[j, i] = np.array(list(p.terms.values())) * np.where(i == j, 1.0, 0.5)
+    A[i, j] = A[j, i] = _term_coefs(p) * np.where(i == j, 1.0, 0.5)
     return A
 
 

@@ -3,24 +3,28 @@
 For d >= 3 the sphere maximizer ascends p and -p from seeded random starts
 plus all signed coordinate directions (the ascents from -e_i mirror those
 from e_i, so they are not run), all in one numpy batch from which each
-start leaves once its step falls below tol, followed by a local Newton
-polish of the winning point.  The form is compiled once per call: a small
-one is contracted against its dense symmetric tensor (one GEMM per
-iteration), a large sparse one through a gather over its monomials, chosen
-by comparing n**d with the gather size.  On the gather kernel an iteration
-is a shifted symmetric power step (SS-HOPM; Kolda & Mayo, SIAM J. Matrix
-Anal. Appl. 32(4), 2011).  On the dense kernel it also values a tangent
-Newton step, taken only where the form is concave on the tangent space,
-longer steps along the tangent gradient, and eight points on a circle of
-trust-region radius in the plane of the gradient and the Newton step, all
-in one GEMM, and moves to the best of them.  The dense kernel runs on the
-tensor scaled by a power of two so that its largest entry is in [0.5, 1),
-so p and 2^j p give the same argmax and exactly scaled values.
-The lower degrees are answered in closed form: a linear form c.x at
-c/||c||, a quadratic x^T A x at the eigenvector of A with the largest
-|eigenvalue|, Newton-polished.  Every reported value is the form evaluated
-at an explicit unit vector, hence a certified lower bound on the true
-maximum of |p|; nothing here certifies upper bounds.
+start leaves once its step falls below tol, followed by a Riemannian Newton
+polish of the winning point on the bordered tangent system the ascent's
+Newton step solves (one solve and one evaluation per step; see _polish).
+The start rows, like the frame maximizer's random start frames, depend
+only on the shape and the seed, so each shape builds them once.  The form
+is compiled once per call: a small one is contracted against its dense
+symmetric tensor (one GEMM per iteration), a large sparse one through a
+gather over its monomials, chosen by comparing n**d with the gather size.
+On the gather kernel an iteration is a shifted symmetric power step
+(SS-HOPM; Kolda & Mayo, SIAM J. Matrix Anal. Appl. 32(4), 2011).  On the
+dense kernel it also values a tangent Newton step, taken only where the
+form is concave on the tangent space, longer steps along the tangent
+gradient, and eight points on a circle of trust-region radius in the plane
+of the gradient and the Newton step, all in one GEMM, and moves to the
+best of them.  The dense kernel runs on the tensor scaled by a power of
+two so that its largest entry is in [0.5, 1), so p and 2^j p give the same
+argmax and exactly scaled values.  The lower degrees are answered in
+closed form: a linear form c.x at c/||c||, a quadratic x^T A x at the
+eigenvector of A with the largest |eigenvalue|, polished the same way.
+Every reported value is the form evaluated at an explicit unit vector,
+hence a certified lower bound on the true maximum of |p|; nothing here
+certifies upper bounds.
 
 For d >= 3 the frame maximizer raises ||restriction of p to a k-dim
 subspace||^2 over orthonormal n x k frames by shifted symmetric
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,6 +55,7 @@ from .poly import (
     HomPoly,
     _derivative_table,
     _index_tuples,
+    _term_coefs,
     bombieri_norm,
     dense_tensor,
     evaluate,
@@ -210,7 +216,7 @@ class _Form:
             return
         self.T = None
         # a derivative-table row comes from one term: the tables ignore term order
-        J, c = _index_tuples(p), np.array(list(p.terms.values()))
+        J, c = _index_tuples(p), _term_coefs(p)
         var, self._Jg, self._cg = _derivative_table(p.n, J, c, 1)
         self._seg = np.flatnonzero(np.r_[True, var[1:] != var[:-1]])
         self._var = var[self._seg]
@@ -252,6 +258,14 @@ class _Form:
         vals = np.prod(x[self._Jh], axis=1) * self._ch
         return np.bincount(self._hkey, weights=vals, minlength=n * n).reshape(n, n)
 
+    def at(self, x: np.ndarray):
+        """T x^(d-1) and T x^(d-2) at the point x, from one contraction on
+        the dense kernel."""
+        if self.T is not None:
+            TX, H = self.dense(x[None])
+            return TX[0], H[0]
+        return self.tx(x[None])[0], self.txx(x)
+
     def values(self, X: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", X, self.tx(X))
 
@@ -262,6 +276,30 @@ def _start_points(n: int, restarts: int, rng: np.random.Generator) -> np.ndarray
     norms = np.linalg.norm(rand, axis=1, keepdims=True)
     norms[norms < 1e-12] = 1.0
     return np.vstack([eye, -eye, rand / norms])
+
+
+@lru_cache(maxsize=64)
+def _ascent_rows(n: int, restarts: int, seed: int):
+    """operator_norm's batch for n variables: the rows e_i and the seeded
+    random starts of _start_points, twice (the ascents from -e_i mirror those
+    from e_i, so they are not run), and the sign each row ascends; built once
+    per shape, read-only."""
+    starts = _start_points(n, restarts, np.random.default_rng(seed))
+    run = np.delete(starts, np.s_[n:2 * n], axis=0)
+    X0, sign = np.vstack([run, run]), np.repeat([1.0, -1.0], len(run))
+    X0.setflags(write=False)
+    sign.setflags(write=False)
+    return X0, sign
+
+
+@lru_cache(maxsize=32)
+def _random_frames(n: int, k: int, restarts: int, seed: int) -> np.ndarray:
+    """subspace_norm's seeded random start frames, restarts x n x k, built
+    once per shape, read-only."""
+    rng = np.random.default_rng(seed)
+    B = np.stack([random_frame(n, k, rng).basis for _ in range(restarts)])
+    B.setflags(write=False)
+    return B
 
 
 # The other steps a dense-kernel ascent iteration values, along the tangent
@@ -456,48 +494,65 @@ def _frobenius(M: np.ndarray) -> float:
     return math.ldexp(float(np.linalg.norm(np.ldexp(M, -e))), e)
 
 
-def _tangent_basis(x: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(x.reshape(-1, 1), mode="complete")
-    return q[:, 1:]
+# A polish step no longer than this (max-norm) is kept even where |p|
+# reads lower after it: near a critical point a Newton step z changes |p| by
+# O(|z|^2), here below the rounding of p's value, so only the gradient tells
+# whether it helped.  Without this, 100 of the 382 d >= 3 polishes of two
+# `chain` benchmark passes (seeds 7, 11) stopped above a relative tangent
+# gradient of 1e-14 (up to 1e-8), on a step whose value change was
+# rounding; with it none did.
+_FLAT_STEP = 2.0 ** -26
 
 
 def _polish(form: _Form, x: np.ndarray, rounds: int = 15) -> np.ndarray:
-    """Newton refinement of a sphere stationary point; keeps only improving steps."""
+    """Riemannian Newton refinement of a stationary point of p on the unit
+    sphere (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
+    Manifolds, 2008), for the sign s of p(x).
+
+    A step solves the bordered tangent-Newton system that _ascend solves,
+    [[d (d-1) s T x^(d-2) - l I, x], [x^T, 0]] [z; m] = [-g; 0], with g the
+    tangent gradient of s p and l = x . grad(s p), and moves to x + z
+    normalized: one solve and one evaluation (form.at) per step, on either
+    kernel.  A step is kept only while |p| does not fall, except that a
+    step within _FLAT_STEP is kept whatever the rounding of |p| reads.  The
+    polish stops once |g| <= 1e-15 d max(1, |p(x)|), at a step below
+    rounding (or not finite), at a step it does not keep or at a singular
+    system, and returns the last point kept.
+    """
     x = np.asarray(x, dtype=float)
     x = x / np.linalg.norm(x)
     n, d = form.n, form.d
     if n == 1:
         return x
-    tx = form.tx(x[None])[0]
+    tx, H = form.at(x)
     fx = float(x @ tx)
     sign = 1.0 if fx >= 0 else -1.0
+    K, R = np.zeros((n + 1, n + 1)), np.zeros(n + 1)
     for _ in range(rounds):
         g = sign * d * tx
         lam = float(x @ g)
         gt = g - lam * x
         if _frobenius(gt) <= 1e-15 * d * max(1.0, abs(fx)):
             break
-        Qt = _tangent_basis(x)
-        Ht = Qt.T @ (sign * d * (d - 1) * form.txx(x) - lam * np.eye(n)) @ Qt
-        gq = Qt.T @ gt
+        K[:n, :n] = sign * d * (d - 1) * H
+        K.reshape(-1)[:-1:n + 2] -= lam  # the diagonal of K[:n, :n]
+        K[:n, n] = K[n, :n] = x
+        R[:n] = -gt
         try:
-            delta = np.linalg.solve(Ht, -gq)
+            z = np.linalg.solve(K, R)[:n]
         except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(Ht, -gq, rcond=None)[0]
-        step = 1.0
-        improved = False
-        for _ in range(25):
-            xn = x + Qt @ (step * delta)
-            xn /= np.linalg.norm(xn)
-            txn = form.tx(xn[None])[0]
-            fn = float(xn @ txn)
-            if sign * fn > sign * fx:
-                x, tx, fx = xn, txn, fn
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
             break
+        step = np.max(np.abs(z))
+        # a step below rounding, or one that is not finite, ends the polish
+        if not np.finfo(float).eps < step < np.inf:
+            break
+        xn = x + z
+        xn /= np.linalg.norm(xn)
+        txn, Hn = form.at(xn)
+        fn = float(xn @ txn)
+        if not sign * fn >= sign * fx and step > _FLAT_STEP:
+            break
+        x, tx, H, fx = xn, txn, Hn, fn
     return x
 
 
@@ -535,31 +590,30 @@ def operator_norm(p: HomPoly, cfg: OptimizerConfig | None = None) -> SphereMax:
     form = _Form(p, scale=True)
     e = form.e
     shift = 1.0 + (float(np.linalg.norm(form.T)) if form.T is not None else bombieri_norm(p))
-    rng = np.random.default_rng(cfg.seed)
-    starts = _start_points(p.n, cfg.restarts, rng)
     # the ascents from -e_i mirror those from e_i (x -> -x maps s p to
-    # (-1)^d s p), so only e_i and the random starts run
-    run = np.delete(starts, np.s_[p.n:2 * p.n], axis=0)
-    m = len(run)
-    vals, X, iters, conv = _ascend(form, np.vstack([run, run]), np.repeat([1.0, -1.0], m),
-                                   shift, cfg.max_iters, cfg.tol)
+    # (-1)^d s p), so only e_i and the random starts run, with both signs
+    X0, sign = _ascent_rows(p.n, cfg.restarts, cfg.seed)
+    m = len(X0) // 2
+    vals, X, iters, conv = _ascend(form, X0, sign, shift, cfg.max_iters, cfg.tol)
     vp, vm = vals[:m], vals[m:]
     per_run = np.maximum(vp, vm)
     iters_run = np.maximum(iters[:m], iters[m:])
-    best_i = _first_best(per_run)
+    best_i = _first_best(per_run.tolist())
     win = best_i + m if vm[best_i] > vp[best_i] else best_i
     x = _polish(form, X[win])
     x = x / np.linalg.norm(x)
     value = abs(evaluate(p, x))
-    mirrored = np.r_[np.arange(p.n), np.arange(m)]
+    # the starts -e_i repeat the entries of e_i
+    start_values = np.ldexp(per_run, e).tolist()
+    start_iterations = iters_run.tolist()
     return SphereMax(
         value=value,
         argmax=x,
         converged=bool(conv[win]),
         iterations_used=int(iters.max()),
         method="power",
-        start_values=tuple(math.ldexp(float(v), e) for v in per_run[mirrored]),
-        start_iterations=tuple(int(i) for i in iters_run[mirrored]),
+        start_values=tuple(start_values[:p.n] + start_values),
+        start_iterations=tuple(start_iterations[:p.n] + start_iterations),
     )
 
 
@@ -847,19 +901,18 @@ def subspace_norm(p: HomPoly, k: int, cfg: OptimizerConfig | None = None,
     e = math.frexp(float(np.max(np.abs(T))))[1]
     T = np.ldexp(T, -e)
     U = np.linalg.svd(T.reshape(p.n, -1), full_matrices=False)[0]
-    starts = [_fix_column_signs(U[:, :k])]
-    starts += [f.basis for f in extra_starts]
-    rng = np.random.default_rng(cfg.seed)
-    starts += [random_frame(p.n, k, rng).basis for _ in range(cfg.restarts)]
-    g, B, iters, conv = _hooi(T, np.stack(starts), cfg.max_iters, cfg.tol)
-    best = _first_best(g)
+    starts = np.stack([_fix_column_signs(U[:, :k])] + [f.basis for f in extra_starts])
+    starts = np.concatenate([starts, _random_frames(p.n, k, cfg.restarts, cfg.seed)])
+    g, B, iters, conv = _hooi(T, starts, cfg.max_iters, cfg.tol)
+    best = _first_best(g.tolist())
+    values = np.ldexp(np.sqrt(np.maximum(g, 0.0)), e).tolist()
     return FrameMax(
-        value=math.ldexp(math.sqrt(max(g[best], 0.0)), e),
+        value=values[best],
         frame=Frame(p.n, k, B[best]),
         converged=bool(conv[best]),
         method="hooi",
-        start_values=tuple(math.ldexp(math.sqrt(max(v, 0.0)), e) for v in g),
-        start_iterations=tuple(int(i) for i in iters),
+        start_values=tuple(values),
+        start_iterations=tuple(iters.tolist()),
     )
 
 

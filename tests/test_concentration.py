@@ -363,6 +363,62 @@ def test_head_weights_are_the_split_multinomials():
             assert tail_w[row] == multinomial(d - w, tail)
 
 
+
+def test_head_slices_and_weights_are_built_once_read_only():
+    for n, d, k in ((4, 3, 2), (6, 2, 1), (5, 3, 0)):
+        head_w, tail_w = concentration._head_tail_weights(n, d, k)
+        assert not head_w.flags.writeable and not tail_w.flags.writeable
+        assert concentration._head_tail_weights(n, d, k)[0] is head_w
+        assert concentration._head_slices(n, d, k) is concentration._head_slices(n, d, k)
+        combos = poly_mod._exponent_table(n, d)[0]
+        for alpha, w, lo, hi in concentration._head_slices(n, d, k):
+            assert sum(alpha) == w < d and len(alpha) == k
+            heads = np.zeros((hi - lo, k), np.int64)
+            for j in range(k):
+                heads[:, j] = np.count_nonzero(combos[lo:hi] == j, axis=1)
+            assert (heads == alpha).all()
+
+
+def test_chain_builds_no_term_dict_for_its_vector_forms(monkeypatch):
+    # greedy residuals, tail parts and the error form reach the maximizers and
+    # evaluate as coefficient vectors (poly._TableTerms): on the dense kernel
+    # none of them builds its term dict
+    def refuse(self):
+        raise AssertionError("a term dict was built")
+
+    monkeypatch.setattr(poly_mod._TableTerms, "_terms", refuse)
+    kinds = set()
+    for d in (2, 3):
+        for n in (4, 6, 8):
+            p = bombieri_gaussian(n, d, np.random.default_rng((n, d)))
+            rep = concentrate(p, 0.9, CHAIN_CFG, eps_inner=0.45)
+            assert verify_chain(p, rep).passed
+            kinds.add((d, rep.k > 0, rep.rhs_frame is not rep.frame_v))
+    assert {(2, True, True), (3, True, True)} <= kinds
+
+
+def test_k1_noise_part_stays_below_1e8_of_the_norm():
+    # at k = 1 the tail part of head weight d - 1 is the rotated tangent
+    # gradient of p at the greedy argmax, zero in exact arithmetic; V takes
+    # its maximizer whenever one of its coefficients survives the pruning
+    # (a FOUND in CHANGES.md), so its size is rounding noise of the polished
+    # argmax: below 1e-8 ||p||_B on chain-config instances
+    seen = 0
+    for d in (2, 3):
+        for n in range(4, 9):
+            for seed in range(6):
+                p = bombieri_gaussian(n, d, np.random.default_rng((seed, n, d)))
+                rep = concentrate(p, 0.9, CHAIN_CFG, eps_inner=0.45)
+                if rep.k != 1:
+                    continue
+                seen += 1
+                c_rot = concentration._rotated(p, rep.approx.terms, rep.rotation)[0]
+                part = concentration._tail_parts(n, d, 1, c_rot).get((d - 1,))
+                size = 0.0 if part is None else bombieri_norm(part)
+                assert size <= 1e-8 * bombieri_norm(p), (seed, n, d)
+    assert seen >= 10
+
+
 # ------------------------------------------------------------------- verifier
 
 def test_chain_head_only_collapses(rng):

@@ -3,16 +3,17 @@ quadratic converters, dense_tensor and the gather kernel's index rows, each
 checked bit for bit against the per-term loop it replaced."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from polyrank import HomPoly, multinomial, sphere
+from polyrank import HomPoly, bombieri_norm, multinomial, sphere
 from polyrank.generators import bombieri_gaussian, sparse_gaussian
 from polyrank.frames import random_frame, random_orthogonal
 from polyrank.poly import (_derivative_table, _exponent_table, _pow_table, _substituted_coefs,
-                           _table_coefs, dense_tensor, pow_linear, quadratic_matrix,
-                           quadratic_poly)
+                           _table_coefs, _table_poly, dense_tensor, evaluate, pow_linear,
+                           quadratic_matrix, quadratic_poly)
 from polyrank.sphere import _Form
 
 
@@ -143,6 +144,83 @@ def test_pow_linear_builds_the_table_of_the_support_only():
     assert _exponent_table.cache_info().hits == info.hits + 1
     assert _exponent_table.cache_info().currsize == 1
     _same_terms(p, _pow_linear_loop(u, 5))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("d", range(1, 7))
+def test_exponent_table_matches_combinations_with_replacement(n, d):
+    # the rows are filled without a tuple per row; the reference is the list
+    # of combinations_with_replacement tuples they were built from before
+    ref = np.array(list(itertools.combinations_with_replacement(range(n), d)),
+                   dtype=np.int64).reshape(-1, d)
+    combos, flat, mult = _exponent_table(n, d)
+    assert combos.dtype == ref.dtype and combos.shape == ref.shape
+    assert combos.tobytes() == ref.tobytes()
+    assert flat.dtype == np.int64
+    assert flat.tolist() == (ref @ n ** np.arange(d - 1, -1, -1)).tolist()
+    assert mult.tolist() == [float(multinomial(d, np.bincount(r, minlength=n))) for r in ref]
+
+
+@pytest.mark.parametrize("p", [bombieri_gaussian(6, 3, np.random.default_rng(1)),
+                               sparse_gaussian(7, 4, 9, np.random.default_rng(2)),
+                               bombieri_gaussian(5, 1, np.random.default_rng(3)),
+                               bombieri_gaussian(1, 5, np.random.default_rng(4))],
+                         ids=["bombieri-6-3", "sparse-7-4", "linear", "one-variable"])
+def test_table_form_evaluates_to_the_dict_loop_bits(p):
+    # a form held as its coefficient vector, its terms in a shuffled order,
+    # against the dict form with its terms in that order: evaluate reads the
+    # terms and their factors in the loop's order, so the value keeps its bits
+    rng = np.random.default_rng(5)
+    n, d = p.n, p.d
+    coef = _table_coefs(p)
+    combos = _exponent_table(n, d)[0]
+    order = rng.permutation(len(coef))
+    held = _table_poly(n, d, coef, order)
+    ref = HomPoly._trusted(n, d, {tuple(np.bincount(combos[r], minlength=n).tolist()): coef[r]
+                                  for r in order if coef[r]})
+    points = [rng.standard_normal(n) for _ in range(20)]
+    points += [x / np.linalg.norm(x) for x in points] + [1e3 * points[0], -points[1]]
+    points += [np.where(rng.random(n) < 0.5, 0.0, points[2]), np.zeros(n)]
+    for x in points:
+        assert evaluate(held, x).hex() == evaluate(ref, x).hex()
+    # the term dict is built only now, on first use, in the held order
+    assert held.terms._dict is None and len(held.terms) == len(ref.terms)
+    assert list(held.terms.items()) == list(ref.terms.items())
+    assert held == ref and not held.is_zero
+    assert _table_poly(n, d, np.zeros_like(coef)).is_zero
+
+
+def _bombieri_norm_loop(p):
+    """bombieri_norm as a per-term loop: the terms scaled by the power of two
+    of the largest, squared over their multinomials and added in order."""
+    big = max(abs(c) for c in p.terms.values())
+    e = math.frexp(big)[1]
+    total = 0.0
+    for alpha, c in p.terms.items():
+        c = math.ldexp(c, -e)
+        total += c * c / multinomial(p.d, alpha)
+    try:
+        return math.ldexp(math.sqrt(total), e)
+    except OverflowError:
+        return math.inf
+
+
+def test_bombieri_norm_keeps_the_per_term_loop_bits():
+    # on dict forms and on forms held as vectors (in a shuffled term order),
+    # scaled into overflow, far down and to subnormal coefficients
+    rng = np.random.default_rng(6)
+    for i in range(60):
+        n, d = 1 + i % 7, 1 + i % 9
+        for p in (bombieri_gaussian(n, d, rng), sparse_gaussian(n, d, 3, rng)):
+            for scale in (1.0, 2.0 ** 600, 2.0 ** -600, 1e-310, 3.7e300):
+                with np.errstate(over="ignore"):
+                    q = p * scale
+                if q.is_zero:
+                    continue
+                coef = _table_coefs(q)
+                held = _table_poly(n, d, coef, rng.permutation(len(coef)))
+                for form in (q, held):
+                    assert bombieri_norm(form).hex() == _bombieri_norm_loop(form).hex()
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -129,6 +129,84 @@ def test_opnorm_kernels_agree(monkeypatch, rng):
         assert values[1] == pytest.approx(values[0], rel=1e-12)
 
 
+def _tangent_gradient(p, x):
+    """|the tangent gradient of p at the unit x| over d |p(x)|."""
+    g = gradient(p, x)
+    return np.linalg.norm(g - (x @ g) * x) / (p.d * abs(evaluate(p, x)))
+
+
+@pytest.mark.parametrize("kernel", ["dense", "gather"])
+def test_polish_returns_to_a_nearby_local_maximum(monkeypatch, kernel):
+    # from a local maximum of |p| moved 1e-6 along the tangent, the bordered
+    # Newton steps come back: |p| no lower than at either point and the
+    # tangent gradient at rounding level
+    _with_kernel(monkeypatch, kernel)
+    rng = np.random.default_rng(1120)
+    for i in range(24):
+        d, n = 3 + i % 2, 3 + i % 5
+        p = bombieri_gaussian(n, d, rng)
+        top = operator_norm(p, CFG).argmax
+        t = rng.standard_normal(n)
+        t -= (t @ top) * top
+        x0 = top + 1e-6 * t / np.linalg.norm(t)
+        x0 /= np.linalg.norm(x0)
+        x = sphere._polish(sphere._Form(p), x0)
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-15)
+        value = abs(evaluate(p, x))
+        assert value >= abs(evaluate(p, x0)), (i, n, d)
+        assert value >= abs(evaluate(p, top)) * (1 - 1e-15), (i, n, d)
+        assert _tangent_gradient(p, x) <= 1e-14, (i, n, d)
+
+
+@pytest.mark.parametrize("kernel", ["dense", "gather"])
+def test_polish_keeps_the_eigh_vector_that_passes_the_gradient_test(monkeypatch, kernel):
+    # at d = 2 operator_norm polishes eigh's eigenvector: where the gradient
+    # test already holds there, the polish returns it (normalized) bit for
+    # bit; elsewhere its steps are below 2^-26, kept for the gradient though
+    # |p| may move by rounding
+    _with_kernel(monkeypatch, kernel)
+    rng = np.random.default_rng(1121)
+    kept = 0
+    for i in range(60):
+        n = 2 + i % 7
+        A = rng.standard_normal((n, n))
+        p = quadratic_poly(A + A.T)
+        lams, V = np.linalg.eigh(quadratic_matrix(p))
+        x = V[:, np.argmax(np.abs(lams))]
+        x = x / np.linalg.norm(x)
+        form = sphere._Form(p)
+        tx = form.tx(x[None])[0]
+        fx = float(x @ tx)
+        g = (1.0 if fx >= 0 else -1.0) * 2 * tx
+        gt = g - float(x @ g) * x
+        out = sphere._polish(form, V[:, np.argmax(np.abs(lams))])
+        if sphere._frobenius(gt) <= 1e-15 * 2 * max(1.0, abs(fx)):
+            kept += 1
+            assert out.tobytes() == x.tobytes(), i
+        else:
+            assert abs(evaluate(p, out)) >= abs(evaluate(p, x)) * (1 - 1e-15), i
+            assert _tangent_gradient(p, out) <= 1e-14, i
+    assert 30 <= kept < 60
+
+
+def test_cached_start_rows_and_frames_are_fresh_draws():
+    for n, restarts, seed in ((1, 1, 0), (4, 6, 3), (7, 32, 11)):
+        X0, sign = sphere._ascent_rows(n, restarts, seed)
+        starts = sphere._start_points(n, restarts, np.random.default_rng(seed))
+        run = np.delete(starts, np.s_[n:2 * n], axis=0)
+        assert X0.tobytes() == np.vstack([run, run]).tobytes() and X0.shape == (2 * len(run), n)
+        assert sign.tobytes() == np.repeat([1.0, -1.0], len(run)).tobytes()
+        assert not X0.flags.writeable and not sign.flags.writeable
+        assert sphere._ascent_rows(n, restarts, seed)[0] is X0
+        for k in range(1, n + 1):
+            B = sphere._random_frames(n, k, restarts, seed)
+            rng = np.random.default_rng(seed)
+            fresh = np.stack([random_frame(n, k, rng).basis for _ in range(restarts)])
+            assert B.tobytes() == fresh.tobytes() and B.shape == (restarts, n, k)
+            assert not B.flags.writeable
+            assert sphere._random_frames(n, k, restarts, seed) is B
+
+
 def _ascent_engine(p, cfg):
     """max |p| by the SS-HOPM ascent and Newton polish that operator_norm runs
     at d >= 3, from the same starts and shift."""
