@@ -172,6 +172,12 @@ def cmd_approx(args) -> int:
     return 0
 
 
+def _chain_line(cv) -> str:
+    return (f"chain lhs {_sig12(cv.lhs)} mid1 {_sig12(cv.mid1)} mid2 {_sig12(cv.mid2)}"
+            f" mid3 {_sig12(cv.mid3)} mid4 {_sig12(cv.mid4)} rhs {_sig12(cv.rhs_bound)}"
+            f" upper {_sig12(cv.rhs_upper)}")
+
+
 def cmd_concentrate(args) -> int:
     p = _load_poly(args.input)
     if args.eps is None:
@@ -184,8 +190,7 @@ def cmd_concentrate(args) -> int:
         f"k {report.k} dim_v {cv.dims[1]} budget {cv.dims[2]}",
         f"defect {_sig12(report.defect)}",
         f"defect_inf {_sig12(report.defect_inf)}",
-        f"chain lhs {_sig12(cv.lhs)} mid1 {_sig12(cv.mid1)} mid2 {_sig12(cv.mid2)}"
-        f" mid3 {_sig12(cv.mid3)} mid4 {_sig12(cv.mid4)} rhs {_sig12(cv.rhs_bound)}",
+        _chain_line(cv),
     ] + [f"ratio {name} {_sig12(value)}" for name, value in report.ratios.items()]
     _emit(args, payload, lines)
     return 0
@@ -216,7 +221,7 @@ def cmd_chain_check(args) -> int:
         "checks": dict(check.checks),
         "values": serialize.chain_to_dict(check.values),
     }
-    lines = []
+    lines = [_chain_line(check.values)]
     for l in check.links:
         verdict = "PASS" if l.passed else "FAIL"
         lines.append(f"{verdict} {l.name} margin {_sig12(l.margin)}")

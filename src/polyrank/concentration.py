@@ -14,14 +14,17 @@ inequalities that bounds the defect by d! times the squared subspace-norm
 error of the approximation, evaluated on an explicit frame V containing the
 head coordinates and one maximizer direction per tail part.  The report keeps
 the frame of dimension dim V at which that error norm was found (the right
-end's witness).  One evaluator, `_chain_values`, computes every number of the
+end's witness), and the chain closes with the interval [rhs_bound, rhs_upper]
+for the largest such norm over all frames of dimension dim V: rhs_bound is its
+value at the witness, rhs_upper a certified upper end in closed form (see
+_rhs_upper).  One evaluator, `_chain_values`, computes every number of the
 chain from the rotated form, the approximant, the per-head values and the two
-frames; `concentrate` searches for those inputs and calls it, and
-`verify_chain` recomputes the inputs from the original form, evaluating both
-ends at the report's witnesses (the left end at its maximizer directions, the
-right end at its witness frame) rather than searching again, and calls it too.
-So for a report `concentrate` wrote the verifier's chain equals the report's
-bit for bit, also after a round trip through canonical JSON.
+frames; `concentrate` finds those inputs and calls it, and `verify_chain`
+recomputes the inputs from the original form, evaluating both ends at the
+report's witnesses (the left end at its maximizer directions, the right end
+at its witness frame) rather than searching again, and calls it too.  So for
+a report `concentrate` wrote the verifier's chain equals the report's bit for
+bit, also after a round trip through canonical JSON.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from .lowrank import LowRankApprox, _power_sum, check_tolerance, greedy_approxim
 from .poly import (
     HomPoly,
     _exponent_table,
+    _flat_index,
+    _pow_table,
     _run_ranks,
     _substitute_table,
     _table_coefs,
@@ -143,7 +148,10 @@ class ChainValues:
     mid2:     d! times that difference's squared Bombieri norm
     mid3:     d! times the squared distance from the projection to the approximant
     mid4:     d! times the squared norm of the projected approximation error
-    rhs_bound: d! times the squared subspace-norm estimate of the error at dim V
+    rhs_bound: d! times the squared error norm projected onto the witness
+              frame: a lower end for the subspace norm of the error at dim V
+    rhs_upper: d! times a certified upper end for that subspace norm, squared
+              (see _rhs_upper)
     dims:     (head size k, dim V, budget f(k))
     """
 
@@ -153,6 +161,7 @@ class ChainValues:
     mid3: float
     mid4: float
     rhs_bound: float
+    rhs_upper: float
     dims: tuple
 
 
@@ -166,7 +175,8 @@ class ConcentrationReport:
     unit maximizer of each low-weight tail part, whose squared values are
     per_alpha.  rhs_frame is the frame of dimension dim V whose projected
     error norm gives chain.rhs_bound: V itself unless the subspace-norm
-    maximizer ran (k >= 1, 1 < dim V < n and p != q), whose frame it is then.
+    maximizer ran (d <= 2, k >= 1, 1 < dim V < n and p != q), whose frame it
+    is then.
     """
 
     k: int
@@ -273,6 +283,110 @@ def _rotated(p: HomPoly, terms, rotation: np.ndarray):
     return c_rot, _power_sum(n, d, ((t.lam, rotation.T @ t.u) for t in terms))
 
 
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _gamma(j: int) -> float:
+    """j u / (1 - j u): the relative error bound of j roundings in binary64."""
+    ju = j * _UNIT_ROUNDOFF
+    return ju / (1.0 - ju)
+
+
+def _upper_margin(r: int, s: int) -> float:
+    """The relative margin _rhs_upper adds for rounding, r the order of the
+    Gram matrix it decomposes, s the length of that matrix's dot products.
+
+    With u = 2^-53 and gamma_j = j u / (1 - j u), in binary64:
+    - each weight of _derivative_index is (beta_j + 1) / d over the square
+      root of a multinomial converted to float, and each entry of W that
+      weight times a coefficient: 5 roundings;
+    - the Gram product's dot products of length s add gamma_s |W| |W|^T in
+      any summation order, so the computed matrix is within g = gamma_{s+10}
+      of G entrywise against |W| |W|^T, and within g tr(G) in the 2-norm;
+    - eigvalsh is backward stable: each computed eigenvalue lies within
+      p(r) u ||G||_2 of an exact one of the computed matrix, p(r) a modestly
+      growing function of r (LAPACK Users' Guide, 3rd ed., sec. 4.7); we
+      take p(r) = 8 r^2: the r Householder reflections of the reduction to
+      tridiagonal form have a normwise backward error of order r^2 u
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      ch. 19), the tridiagonal solver's is of lower order, and the 8 stands
+      for the constants those bounds leave unstated;
+    - by Weyl the top m computed eigenvalues then sum to within
+      m delta tr(G) of the exact S_m, delta = g + 8 r^2 u (1 + g), and as the
+      top m of r non-negative eigenvalues hold at least m / r of the trace,
+      S_m <= S / (1 - r delta) <= S (1 + 2 r delta) for r delta <= 1/2;
+    - clipping the computed eigenvalues at 0 only raises S, and summing at
+      most r of them and multiplying by d! and by 1 + margin is r + 2
+      roundings more.
+    Underflow adds at most r s 2^-1074 to G while the scaling puts tr(G)
+    above 2^-70, which the slack of the 1 + 2 r delta step covers.
+    """
+    g = _gamma(s + 10)
+    delta = g + 8.0 * r * r * _UNIT_ROUNDOFF * (1.0 + g)
+    return (1.0 + 2.0 * r * delta) * (1.0 + _gamma(r + 2)) - 1.0
+
+
+@lru_cache(maxsize=16)
+def _derivative_index(n: int, d: int):
+    """The gather that builds _rhs_upper's W from a coefficient vector coef
+    over _exponent_table(n, d): W = coef[rows] * weights, of n rows and one
+    column per monomial x^beta of degree d - 1.  W[j, beta] is the
+    coefficient of (1/d) d_j e on x^beta, (beta_j + 1) / d times e's
+    coefficient on x^(beta + e_j), over the square root of beta's
+    multinomial (e the form of coef).  Built once per shape, read-only."""
+    if d == 1:
+        rows, weights = np.arange(n)[:, None], np.ones((n, 1))
+    else:
+        beta, _, mult = _exponent_table(n, d - 1)
+        # beta + e_j as an ascending index tuple, for every j and beta
+        tuples = np.empty((n, len(beta), d), np.int64)
+        tuples[:, :, :-1] = beta
+        tuples[:, :, -1] = np.arange(n)[:, None]
+        tuples.sort(axis=2)
+        rows = np.searchsorted(_exponent_table(n, d)[1],
+                               _flat_index(n, d, tuples.reshape(-1, d))).reshape(n, -1)
+        beta_j = np.count_nonzero(beta[None] == np.arange(n)[:, None, None], axis=2)
+        weights = (beta_j + 1) / d / np.sqrt(mult)
+    rows.setflags(write=False)
+    weights.setflags(write=False)
+    return rows, weights
+
+
+def _rhs_upper(n: int, d: int, m: int, diff: np.ndarray) -> float:
+    """d! times an upper end for max ||e_V||_B^2 over the subspaces V of
+    dimension m, e the error form with coefficient vector diff over
+    _exponent_table(n, d), certified against rounding by _upper_margin.
+
+    With T the symmetric tensor of e and P the projection onto V, e_V has the
+    tensor T(P, ..., P), and as P contracts, ||e_V||_B^2 <= ||T(P, I, ..., I)||_F^2
+    = tr(P G), G_ij = <T_i, T_j>, T_i the slice of T at index i in one mode:
+    the tensor of (1/d) d_i e.  So G is the Bombieri Gram matrix of the n
+    derivatives (1/d) d_i e of degree d - 1, and by Ky Fan tr(P G) is at most
+    the sum of G's top m eigenvalues.  At d = 2, G = A^2 for the matrix A of
+    e, and the bound is the exact subspace norm.
+
+    G = W W^T with W from _derivative_index, one gather on both sides of
+    poly._DENSE_LIMIT (W has about d times as many entries as diff); the
+    smaller of W W^T and W^T W, which share their nonzero eigenvalues, goes
+    to eigvalsh.  diff is first scaled by the power
+    of two that puts its largest entry in [0.5, 1), so the Gram product
+    neither overflows nor loses G to underflow.
+    """
+    big = float(np.max(np.abs(diff), initial=0.0))
+    if big == 0.0:
+        return 0.0
+    e = math.frexp(big)[1]
+    rows, weights = _derivative_index(n, d)
+    W = np.ldexp(diff, -e)[rows] * weights
+    r, s = sorted(W.shape)
+    top = np.linalg.eigvalsh(W @ W.T if r == n else W.T @ W)[r - min(m, r):]
+    value = math.factorial(d) * float(np.sum(np.maximum(top, 0.0)))
+    try:
+        return math.ldexp(value * (1.0 + _upper_margin(r, s)), 2 * e)
+    except OverflowError:
+        return math.inf
+
+
 def _chain_values(n: int, d: int, k: int, c_rot: np.ndarray, c_q: np.ndarray,
                   per_alpha: dict, frame_v: Frame, rhs_frame: Frame, tail_w: np.ndarray):
     """The chain of the rotated form c_rot and its approximant c_q (vectors
@@ -282,16 +396,25 @@ def _chain_values(n: int, d: int, k: int, c_rot: np.ndarray, c_q: np.ndarray,
     lhs sums per_alpha, the squared values of the tail parts at their
     maximizers in sorted head order; mid1 weighs p_V - p_U by tail_w, the tail
     weights of _head_tail_weights(n, d, k); rhs_bound is d! times the squared
-    error norm projected onto rhs_frame, which is mid4 when rhs_frame is V.
+    error norm projected onto rhs_frame, which is mid4 when rhs_frame is V;
+    rhs_upper depends on c_rot, c_q and dim V alone.
     """
     fact = float(math.factorial(d))
     combos, _, mult = _exponent_table(n, d)
-    proj_v = frame_v.projection()
-    c_v = _substitute_table(n, d, c_rot, proj_v)
     diff_pq = c_rot - c_q
+    if frame_v.k == 1:
+        # V = span(v): p(v v^T x) = p(v) (v . x)^d, and by the reproducing
+        # identity p(v) = <p, (v . x)^d>_B
+        pw = _pow_table(frame_v.basis[:, 0], d)
+        c_v = float(np.sum(c_rot * pw / mult)) * pw
+        err_v = float(np.sum(diff_pq * pw / mult)) * pw
+    else:
+        proj_v = frame_v.projection()
+        c_v = _substitute_table(n, d, c_rot, proj_v)
+        err_v = _substitute_table(n, d, diff_pq, proj_v)
     # p_V minus p_rot restricted to the head variables (rows below k only)
     diff_vu = c_v - np.where(combos[:, -1] < k, c_rot, 0.0)
-    mid4 = fact * _table_norm(_substitute_table(n, d, diff_pq, proj_v), mult) ** 2
+    mid4 = fact * _table_norm(err_v, mult) ** 2
     if np.array_equal(rhs_frame.basis, frame_v.basis):
         rhs_bound = mid4
     else:
@@ -304,6 +427,7 @@ def _chain_values(n: int, d: int, k: int, c_rot: np.ndarray, c_q: np.ndarray,
         mid3=fact * _table_norm(c_v - c_q, mult) ** 2,
         mid4=mid4,
         rhs_bound=rhs_bound,
+        rhs_upper=_rhs_upper(n, d, frame_v.k, diff_pq),
         dims=(k, frame_v.k, frame_budget(k, d)),
     )
     return chain, diff_vu
@@ -315,21 +439,24 @@ def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
 
     Pipeline: greedily approximate p at tolerance eps/d! (or eps_inner when
     given), orthonormalize the power directions in greedy order, rotate their
-    span onto the leading coordinates, measure the defect there, build the
-    frame V from the head coordinates plus the per-part maximizer directions,
-    and search for the right end's witness frame; the chain itself comes from
-    _chain_values, the evaluator verify_chain calls.
+    span onto the leading coordinates, measure the defect there, and build the
+    frame V from the head coordinates plus the per-part maximizer directions;
+    the chain itself comes from _chain_values, the evaluator verify_chain
+    calls.
 
     When the greedy loop returns no terms the report has k = 0 and the defect
     degenerates to the squared sphere max of the whole form.  That maximum is
     the one the greedy loop stopped on (LowRankApprox.stop_max): p is not
-    rotated, and no sphere or subspace maximizer runs again.  The witness is
-    V itself unless subspace_norm runs at dim V, which it does only for k >=
-    1, 1 < dim V < n and p != q; rhs_bound is always d! times the squared
-    error norm projected onto the witness.  At d >= 3 that search needs the
-    dense tensor, so above poly._DENSE_LIMIT such a form is refused after the
-    greedy stage.  A form whose d! ||p||_B^2 overflows or whose ||p||_B^2
-    underflows is refused before any work, as verify_chain refuses it.
+    rotated, and no sphere or subspace maximizer runs again.  The right end's
+    witness is V itself unless subspace_norm runs at dim V, which it does only
+    at d <= 2 (where eigh makes it exact) for k >= 1, 1 < dim V < n and
+    p != q; rhs_bound is always d! times the squared error norm projected onto
+    the witness.  At d >= 3 no frame is searched: the chain needs a certified
+    value of its right end, not the maximum, and rhs_upper brackets the
+    maximum from above, so no dense tensor is needed past the greedy stage's
+    and a form above poly._DENSE_LIMIT closes its chain at every dim V.  A
+    form whose d! ||p||_B^2 overflows or whose ||p||_B^2 underflows is refused
+    before any work, as verify_chain refuses it.
     """
     if p.is_zero:
         raise ValueError("cannot concentrate the zero polynomial")
@@ -366,7 +493,7 @@ def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
 
     frame_v = _build_v_frame(n, k, z_alpha)
     rhs_frame = frame_v
-    if k >= 1 and 1 < frame_v.k < n and np.any(c_rot != c_q):
+    if d <= 2 and k >= 1 and 1 < frame_v.k < n and np.any(c_rot != c_q):
         fm = subspace_norm(_table_poly(n, d, c_rot - c_q), frame_v.k, cfg, extra_starts=(frame_v,))
         rhs_frame = fm.frame
     chain = _chain_values(n, d, k, c_rot, c_q, per_alpha, frame_v, rhs_frame,
@@ -419,14 +546,16 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
     middle scaling step is additionally verified at the level of exact integer
     monomial weights, and the right end is the projected error norm at the
     report's witness frame rhs_frame, a certified lower bound on the subspace
-    norm at dim V.  The chain comes from _chain_values, the evaluator
-    concentrate calls, so for a report concentrate wrote it equals the stated
-    chain bit for bit.  Each end must also match the value x the report states
-    to within 1e-9 (|x| + ||p||_B^2) (per_alpha_consistent, rhs_consistent),
-    and so must the stated chain values lhs, mid1..mid4 and the defect, with
-    the stated dims equal (chain_consistent); the tolerance leaves room for a
-    report written on another machine or Python version.  cfg is accepted for
-    callers that pass one and changes nothing.
+    norm at dim V, which must not exceed the certified upper end rhs_upper,
+    recomputed from p and the approximant alone.  The chain comes from
+    _chain_values, the evaluator concentrate calls, so for a report
+    concentrate wrote it equals the stated chain bit for bit.  Each end must
+    also match the value x the report states to within 1e-9 (|x| + ||p||_B^2)
+    (per_alpha_consistent, rhs_consistent, rhs_upper_consistent), and so must
+    the stated chain values lhs, mid1..mid4 and the defect, with the stated
+    dims equal (chain_consistent); the tolerance leaves room for a report
+    written on another machine or Python version.  cfg is accepted for callers
+    that pass one and changes nothing.
     """
     n, d = p.n, p.d
     rotation = np.asarray(report.rotation, dtype=float)
@@ -483,6 +612,7 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
     checks["dim_within_budget"] = frame_v.k <= values.dims[2]
     stated = report.chain
     checks["rhs_consistent"] = close(values.rhs_bound, stated.rhs_bound)
+    checks["rhs_upper_consistent"] = close(values.rhs_upper, stated.rhs_upper)
     checks["chain_consistent"] = tuple(stated.dims) == values.dims and all(
         close(x, y) for x, y in ((values.lhs, stated.lhs), (values.lhs, report.defect),
                                  (values.mid1, stated.mid1), (values.mid2, stated.mid2),
@@ -494,6 +624,7 @@ def verify_chain(p: HomPoly, report: ConcentrationReport,
         _le_link("head_restriction_is_closest", values.mid2, values.mid3, tol),
         _eq_link("projection_commutes_with_difference", values.mid3, values.mid4, tol),
         _le_link("error_subspace_bound", values.mid4, values.rhs_bound, tol),
+        _le_link("witness_within_upper_end", values.rhs_bound, values.rhs_upper, tol),
     )
     passed = all(l.passed for l in links) and all(checks.values())
     return ChainCheck(values=values, links=links, checks=checks, tol=tol, passed=passed)

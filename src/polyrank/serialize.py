@@ -227,6 +227,7 @@ def chain_to_dict(cv: ChainValues) -> dict:
         "mid3": cv.mid3,
         "mid4": cv.mid4,
         "rhs_bound": cv.rhs_bound,
+        "rhs_upper": cv.rhs_upper,
         "dims": {"head": cv.dims[0], "dim_v": cv.dims[1], "budget": cv.dims[2]},
     }
 
@@ -234,7 +235,8 @@ def chain_to_dict(cv: ChainValues) -> dict:
 def chain_from_dict(obj) -> ChainValues:
     dims = tuple(_int_of(obj["dims"][key], key) for key in ("head", "dim_v", "budget"))
     return ChainValues(**{key: _real_of(obj[key], key) for key in
-                          ("lhs", "mid1", "mid2", "mid3", "mid4", "rhs_bound")}, dims=dims)
+                          ("lhs", "mid1", "mid2", "mid3", "mid4", "rhs_bound",
+                           "rhs_upper")}, dims=dims)
 
 
 def report_to_dict(r: ConcentrationReport) -> dict:

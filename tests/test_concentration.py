@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -380,9 +381,10 @@ def test_head_slices_and_weights_are_built_once_read_only():
 
 
 def test_chain_builds_no_term_dict_for_its_vector_forms(monkeypatch):
-    # greedy residuals, tail parts and the error form reach the maximizers and
-    # evaluate as coefficient vectors (poly._TableTerms): on the dense kernel
-    # none of them builds its term dict
+    # greedy residuals, tail parts and, at d = 2, the error form reach the
+    # maximizers and evaluate as coefficient vectors (poly._TableTerms): on
+    # the dense kernel none of them builds its term dict.  At d = 3 the error
+    # form meets no maximizer: its witness is V
     def refuse(self):
         raise AssertionError("a term dict was built")
 
@@ -394,7 +396,8 @@ def test_chain_builds_no_term_dict_for_its_vector_forms(monkeypatch):
             rep = concentrate(p, 0.9, CHAIN_CFG, eps_inner=0.45)
             assert verify_chain(p, rep).passed
             kinds.add((d, rep.k > 0, rep.rhs_frame is not rep.frame_v))
-    assert {(2, True, True), (3, True, True)} <= kinds
+    assert {(2, True, True), (3, True, False)} <= kinds
+    assert not {(3, True, True), (3, False, True)} & kinds
 
 
 def test_k1_noise_part_stays_below_1e8_of_the_norm():
@@ -514,15 +517,25 @@ def test_chain_mismatched_report_rejected(rng):
 # ------------------------------------------------- the right end's witness
 
 def _cubic_reports():
-    """d = 3 reports at k = 0 and at k = 1 < dim V < n, where concentrate's
-    right end comes from HOOI."""
+    """d = 3 reports at k = 0, as concentrate wrote it, and at
+    k = 1 < dim V < n with a witness other than V: the frame HOOI finds for
+    the rotated error with V as an extra start, stated with its own value
+    (concentrate takes V as the witness at d >= 3, and verify_chain accepts
+    any frame of dim V)."""
     p0 = bombieri_gaussian(5, 3, np.random.default_rng(20240817))
     p1 = bombieri_gaussian(5, 3, np.random.default_rng(7))
     rep0 = concentrate(p0, 0.9, CFG, eps_inner=0.9)
     rep1 = concentrate(p1, 0.9, CFG, eps_inner=0.4)
     assert rep0.k == 0
     assert rep1.k >= 1 and 1 < rep1.frame_v.k < p1.n
-    return (p0, rep0), (p1, rep1)
+    assert rep1.rhs_frame is rep1.frame_v
+    c_rot, c_q = concentration._rotated(p1, rep1.approx.terms, rep1.rotation)
+    err = poly_mod._table_poly(p1.n, p1.d, c_rot - c_q)
+    frame = subspace_norm(err, rep1.frame_v.k, CFG, extra_starts=(rep1.frame_v,)).frame
+    assert not np.array_equal(frame.basis, rep1.frame_v.basis)
+    value = verify_chain(p1, _with_witness(rep1, frame), CFG).values.rhs_bound
+    assert value > rep1.chain.rhs_bound
+    return (p0, rep0), (p1, _with_witness(rep1, frame, value))
 
 
 def _with_witness(rep, frame, rhs_bound=None):
@@ -556,8 +569,9 @@ def test_verify_chain_projects_once_when_the_witness_is_v(monkeypatch):
         return [M for M in matrices if np.array_equal(M, frame.projection())]
 
     chk0 = verify_chain(p0, rep0, CFG)
-    # p_rot and p - q onto V, and no third projection for the witness
-    assert len(projections(rep0.frame_v)) == 2
+    # dim V = 1: p_rot and p - q onto V in closed form, and no projection for
+    # the witness
+    assert matrices == []
     assert chk0.values.rhs_bound == chk0.values.mid4
     matrices.clear()
     verify_chain(p1, rep1, CFG)
@@ -607,6 +621,117 @@ def test_verify_chain_refuses_a_misstated_rhs_bound():
 
 
 CHAIN_CFG = OptimizerConfig(restarts=6, max_iters=150, tol=1e-9)
+
+
+# ------------------------------------------------- the right end's upper end
+
+def test_concentrate_searches_no_frame_at_degree_3_and_up(monkeypatch):
+    # at d >= 3 the witness is V and rhs_upper closes the chain from above:
+    # neither subspace_norm nor its HOOI runs, also where 1 < dim V < n
+    calls = []
+    hooi, frame_search = sphere._hooi, concentration.subspace_norm
+    monkeypatch.setattr(sphere, "_hooi", lambda *a: calls.append("_hooi") or hooi(*a))
+    monkeypatch.setattr(concentration, "subspace_norm",
+                        lambda *a, **kw: calls.append("subspace_norm") or frame_search(*a, **kw))
+    kinds = set()
+    for d in (3, 4):
+        for n in range(4, 8):
+            p = bombieri_gaussian(n, d, np.random.default_rng((n, d)))
+            rep = concentrate(p, 0.9, CHAIN_CFG, eps_inner=0.45)
+            k, dim_v, _ = rep.chain.dims
+            kinds.add("k = 0" if k == 0 else "dim V = n" if dim_v == n else "1 < dim V < n")
+            assert rep.rhs_frame is rep.frame_v
+            assert rep.chain.rhs_bound == rep.chain.mid4 <= rep.chain.rhs_upper
+            assert verify_chain(p, rep).passed
+    assert calls == []
+    assert kinds == {"k = 0", "1 < dim V < n", "dim V = n"}
+
+
+def test_rhs_upper_is_above_the_searched_subspace_norm():
+    # the forms and config of test_subnorm_no_lower_than_long_hooi, where
+    # subspace_norm reaches at least what 2000 plain HOOI moves reach: the
+    # closed-form upper end lies above it, and at dim n it is the whole norm
+    rng = np.random.default_rng(4343)
+    for i in range(40):
+        d, n = 3 + i % 2, 4 + (i // 2) % 5
+        k = 2 + (i // 10) % (n - 2)
+        p = bombieri_gaussian(n, d, rng)
+        cfg = OptimizerConfig(restarts=6, max_iters=150, tol=1e-9, seed=i)
+        coef, fact = poly_mod._table_coefs(p), math.factorial(d)
+        searched = fact * subspace_norm(p, k, cfg).value ** 2
+        assert concentration._rhs_upper(n, d, k, coef) >= searched, (i, n, d, k)
+        whole = fact * bombieri_norm(p) ** 2
+        margin = concentration._upper_margin(n, poly_mod.num_exponents(n, d - 1))
+        assert whole <= concentration._rhs_upper(n, d, n, coef) <= whole * (1 + margin) ** 2
+
+
+def test_rhs_upper_is_the_exact_right_end_at_degree_2():
+    # at d = 2, G = A^2 and eigh's frame attains the subspace norm (Ky Fan),
+    # so where the witness is a maximizer (k = 0, the eigh search, or
+    # dim V = n) rhs_upper equals rhs_bound within the stated margin
+    kinds = set()
+    for n, seed, eps_inner in itertools.product(range(3, 9), range(3), (0.45, 0.9)):
+        p = bombieri_gaussian(n, 2, np.random.default_rng((seed, n)))
+        rep = concentrate(p, 0.9, CHAIN_CFG, eps_inner=eps_inner)
+        k, dim_v, _ = rep.chain.dims
+        kind = ("k = 0" if k == 0 else "dim V = n" if dim_v == n
+                else "searched" if rep.rhs_frame is not rep.frame_v else None)
+        if kind is None or rep.chain.rhs_bound < 1e-20 * bombieri_norm(p) ** 2:
+            continue  # V = span(e_1) at k = 1, or p - q only rounding
+        kinds.add(kind)
+        margin = concentration._upper_margin(n, n)
+        c = rep.chain
+        assert c.rhs_bound <= c.rhs_upper <= c.rhs_bound * (1 + margin) ** 2, (n, seed)
+    assert kinds == {"k = 0", "searched", "dim V = n"}
+
+
+@pytest.mark.parametrize("n, d", [(5, 1), (5, 2), (4, 3), (6, 3), (5, 4), (4, 6)])
+def test_rhs_upper_matches_the_gram_matrix_of_the_unfolded_tensor(n, d):
+    # the reference: G = E E^T for the mode-1 unfolding E of the dense tensor
+    rows, weights = concentration._derivative_index(n, d)
+    assert not rows.flags.writeable and not weights.flags.writeable
+    assert concentration._derivative_index(n, d)[0] is rows
+    rng = np.random.default_rng((n, d))
+    for p in (bombieri_gaussian(n, d, rng), sparse_gaussian(n, d, n, rng)):
+        E = poly_mod.dense_tensor(p).reshape(n, -1)
+        lams = np.linalg.eigvalsh(E @ E.T)
+        coef = poly_mod._table_coefs(p)
+        for m in range(1, n + 1):
+            want = math.factorial(d) * float(np.sum(lams[n - m:]))
+            assert concentration._rhs_upper(n, d, m, coef) == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_rhs_upper_scales_exactly_and_stays_finite(d):
+    # the Gram product runs on the error scaled by a power of two, so the
+    # upper end of 2^j e is 4^j times that of e, with no overflow or
+    # underflow warning at 2^+-300
+    n = 5
+    coef = poly_mod._table_coefs(bombieri_gaussian(n, d, np.random.default_rng(d)))
+    base = concentration._rhs_upper(n, d, 2, coef)
+    assert 0 < base < math.inf
+    with np.errstate(all="raise"):
+        for j in (-300, 300):
+            assert concentration._rhs_upper(n, d, 2, np.ldexp(coef, j)) == math.ldexp(base, 2 * j)
+    assert concentration._rhs_upper(n, d, 2, np.zeros_like(coef)) == 0.0
+
+
+def test_a_one_dimensional_v_is_projected_in_closed_form(monkeypatch):
+    # dim V = 1 (here k = 0): p_V = p(v) (v . x)^d runs no substitution, and
+    # its chain matches the projection through the substitution engine
+    p = bombieri_gaussian(6, 4, np.random.default_rng(5))
+    rep = concentrate(p, 0.9, CHAIN_CFG, eps_inner=0.9)
+    assert rep.k == 0 and rep.frame_v.k == 1
+    fact = math.factorial(4)
+    projected = fact * bombieri_norm(project_subspace(p, rep.frame_v)) ** 2
+    for value in (rep.chain.mid2, rep.chain.mid3, rep.chain.mid4, rep.chain.rhs_bound):
+        assert value == pytest.approx(projected, rel=1e-13)
+
+    def refuse(*a):
+        raise AssertionError("a substitution ran")
+
+    monkeypatch.setattr(concentration, "_substitute_table", refuse)
+    assert _chain_bits(verify_chain(p, rep).values) == _chain_bits(rep.chain)
 
 
 @pytest.mark.parametrize("d", [2, 3])

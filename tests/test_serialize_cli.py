@@ -11,7 +11,7 @@ import pytest
 from polyrank import OptimizerConfig, bombieri_norm, concentrate, greedy_approximate
 from polyrank import concentration, generators, serialize, sphere
 from polyrank import poly as poly_mod
-from polyrank.cli import main
+from polyrank.cli import _sig12, main
 from polyrank.concentration import ChainValues, ConcentrationReport
 from polyrank.frames import coordinate_frame
 from polyrank.generators import bombieri_gaussian
@@ -365,15 +365,21 @@ def degree3_report(tmp_path_factory):
     return poly_path, rep
 
 
+_MISSING = object()
+
+
 def _edited_report(tmp_path, rep, path, edit):
     """A copy of the report dict rep, its field at path replaced by
-    edit(old value), written to tmp_path / "rep.json"; returns that path."""
+    edit(old value), or removed where that is _MISSING, written to
+    tmp_path / "rep.json"; returns that path."""
     rep = json.loads(json.dumps(rep))
     *keys, last = path
     field = rep
     for key in keys:
         field = field[key]
     field[last] = edit(field[last])
+    if field[last] is _MISSING:
+        del field[last]
     report_path = tmp_path / "rep.json"
     report_path.write_text(json.dumps(rep))
     return report_path
@@ -392,6 +398,12 @@ def _edited_report(tmp_path, rep, path, edit):
     (("rotation", 0, 1), "0.5", "'rotation' must be a finite number"),
     (("rhs_frame", "basis"), [1.0], "'basis' must be a list"),
     (("per_alpha", 0, "alpha"), [0.5, 1], "'alpha' must be an integer"),
+    (("chain", "rhs_upper"), _MISSING, "'rhs_upper'"),
+    (("chain", "rhs_upper"), "1.5", "'rhs_upper' must be a finite number"),
+    (("chain", "rhs_upper"), True, "'rhs_upper' must be a finite number"),
+    (("chain", "rhs_upper"), None, "'rhs_upper' must be a finite number"),
+    (("chain", "rhs_upper"), float("inf"), "'rhs_upper' must be a finite number"),
+    (("chain", "rhs_upper"), float("nan"), "'rhs_upper' must be a finite number"),
 ])
 def test_cli_chain_check_refuses_mistyped_report_fields(tmp_path, capsys, degree3_report,
                                                          path, value, message):
@@ -422,6 +434,37 @@ def test_cli_chain_check_fails_on_tampered_chain_values(tmp_path, capsys, degree
     assert out.strip().splitlines()[-1] == "overall FAIL"
 
 
+def test_cli_chain_check_fails_on_a_lowered_upper_end(tmp_path, capsys, degree3_report):
+    # the verifier recomputes rhs_upper from p and q alone, so a report that
+    # states it below its own rhs_bound fails the upper end's consistency
+    # check; the link itself, on the recomputed ends, still holds
+    poly_path, rep = degree3_report
+    lowered = 0.5 * rep["chain"]["rhs_bound"]
+    report_path = _edited_report(tmp_path, rep, ("chain", "rhs_upper"), lambda _: lowered)
+    code, out, _ = run_cli(["chain-check", str(poly_path), "--report", str(report_path)],
+                           capsys)
+    lines = out.splitlines()
+    assert code == 2
+    assert "FAIL rhs_upper_consistent" in lines
+    assert [l for l in lines if l.startswith("FAIL")] == ["FAIL rhs_upper_consistent"]
+    assert any(l.startswith("PASS witness_within_upper_end margin ") for l in lines)
+    assert lines[-1] == "overall FAIL"
+
+
+def test_cli_chain_check_prints_the_chain_with_its_upper_end(tmp_path, capsys,
+                                                              degree3_report):
+    poly_path, rep = degree3_report
+    report_path = tmp_path / "rep.json"
+    report_path.write_text(json.dumps(rep))
+    code, out, _ = run_cli(["chain-check", str(poly_path), "--report", str(report_path)],
+                           capsys)
+    assert code == 0
+    words = out.splitlines()[0].split()
+    assert words[0] == "chain" and words[-4:-2] == ["rhs", _sig12(rep["chain"]["rhs_bound"])]
+    assert words[-2:] == ["upper", _sig12(rep["chain"]["rhs_upper"])]
+    assert rep["chain"]["rhs_bound"] <= rep["chain"]["rhs_upper"]
+
+
 def test_cli_chain_check_parses_a_valid_report_to_the_same_values(degree3_report):
     # numbers written as 17-digit floats, or as integers where the float is
     # integral, parse to the floats and ints the report was made of
@@ -446,12 +489,13 @@ def test_cli_chain_check_refuses_a_greedy_direction_of_the_wrong_length(tmp_path
     assert err == "error: term direction has length 4, expected 5\n"
 
 
-def test_cli_concentrate_refuses_a_frame_search_above_the_dense_limit(tmp_path, capsys,
-                                                                      monkeypatch):
-    # at d >= 3 the frame maximizer at 1 < dim V < n needs the dense tensor, so
-    # above the dense limit concentrate cannot close such a chain: one line
+def test_cli_concentrate_closes_a_chain_above_the_dense_limit(tmp_path, capsys,
+                                                              monkeypatch):
+    # at d >= 3 with 1 < dim V < n concentrate searches no frame, so above the
+    # dense limit it needs no dense tensor past the greedy stage's: the form
+    # it refused while its right end came from HOOI closes its chain
     p = bombieri_gaussian(5, 3, np.random.default_rng(7))
-    poly_path = tmp_path / "p.json"
+    poly_path, report_path = tmp_path / "p.json", tmp_path / "rep.json"
     poly_path.write_text(poly_dumps(p))
     monkeypatch.setattr(poly_mod, "_DENSE_LIMIT", 5)
     monkeypatch.setattr(sphere, "_DENSE_LIMIT", 5)
@@ -459,11 +503,17 @@ def test_cli_concentrate_refuses_a_frame_search_above_the_dense_limit(tmp_path, 
     frame_search = concentration.subspace_norm
     monkeypatch.setattr(concentration, "subspace_norm",
                         lambda q, k, *a, **kw: searched.append(k) or frame_search(q, k, *a, **kw))
-    code, out, err = run_cli(["concentrate", str(poly_path), "--eps", "0.9", "--eps-inner",
-                              "0.4", "--restarts", "8", "--seed", "23"], capsys)
-    assert len(searched) == 1 and 1 < searched[0] < 5
-    assert (code, out) == (1, "")
-    assert err == "error: dense tensor would need 125 entries (limit 5)\n"
+    code, _, err = run_cli(["concentrate", str(poly_path), "--eps", "0.9", "--eps-inner",
+                            "0.4", "--restarts", "8", "--seed", "23", "--format", "json",
+                            "--out", str(report_path)], capsys)
+    assert (code, err) == (0, "")
+    assert searched == []
+    rep = json.loads(report_path.read_text())
+    assert 1 < rep["chain"]["dims"]["dim_v"] < 5
+    code, out, err = run_cli(["chain-check", str(poly_path), "--report", str(report_path)],
+                             capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "overall PASS"
 
 
 @pytest.mark.parametrize("c", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
@@ -584,7 +634,7 @@ def _huge_table_files(tmp_path):
     frame = coordinate_frame(n, [0])
     rep = ConcentrationReport(
         k=0, rotation=np.eye(n), defect=1.0, per_alpha={(): 1.0}, defect_inf=1.0,
-        chain=ChainValues(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, (0, 1, 1)),
+        chain=ChainValues(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, (0, 1, 1)),
         z_alpha={(): np.eye(n)[0]}, frame_v=frame, rhs_frame=frame,
         approx=LowRankApprox((), (1.0,), (1.0,), 0.5, 1.0, n, d),
         eps=0.5, eps_inner=0.5, input_norm=1.0, ratios={})
