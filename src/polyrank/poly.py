@@ -37,16 +37,6 @@ _DENSE_LIMIT = 4_000_000
 _TERM_LIMIT = 10_000_000
 
 
-@lru_cache(maxsize=1 << 16)
-def _multinomial_cached(d: int, alpha: tuple) -> int:
-    out = 1
-    rem = d
-    for a in alpha:
-        out *= math.comb(rem, a)
-        rem -= a
-    return out
-
-
 def multinomial(d: int, alpha) -> int:
     """Exact integer multinomial coefficient d!/(alpha_1! ... alpha_k!).
 
@@ -60,7 +50,11 @@ def multinomial(d: int, alpha) -> int:
         raise ValueError(f"negative entry in exponent {alpha}")
     if sum(alpha) != d:
         raise ValueError(f"exponent weight {sum(alpha)} does not match degree {d}")
-    return _multinomial_cached(d, alpha)
+    out, rem = 1, d
+    for a in alpha:
+        out *= math.comb(rem, a)
+        rem -= a
+    return out
 
 
 def iter_exponents(n: int, d: int):
@@ -167,65 +161,45 @@ def zero_poly(n: int, d: int) -> HomPoly:
     return HomPoly(n, d, {})
 
 
-def evaluate(p: HomPoly, x) -> float:
-    """Value of p at the point x (length-n real vector)."""
+def _point(p: HomPoly, x) -> np.ndarray:
+    """x as a float vector, refused unless it has shape (n,)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n,):
         raise ValueError(f"point has shape {x.shape}, expected ({p.n},)")
-    if isinstance(p.terms, _TableTerms):
-        # the loop below over the table rows, in the same order of terms and
-        # of factors; cumsum adds in order as += does, and + 0.0 turns the
-        # -0.0 that only -0.0 terms sum to into the loop's 0.0
-        rows = p.terms.rows
-        if not len(rows):
-            return 0.0
-        return float(np.cumsum(_monomials(p.n, p.d, x, p.terms.coef[rows], rows))[-1] + 0.0)
-    total = 0.0
-    for alpha, c in p.terms.items():
-        m = c
-        for i, a in enumerate(alpha):
-            if a:
-                m *= x[i] ** a
-        total += m
-    return float(total)
+    return x
+
+
+def evaluate(p: HomPoly, x) -> float:
+    """Value of p at the point x (length-n real vector): each term's monomial
+    (see _monomials) added in term order, with the bits of a per-term loop.
+    Kept apart from the maximizers' kernels and the substitution engine, so
+    that it can check both."""
+    x = _point(p, x)
+    _, c, used, F, _ = _term_arrays(p)
+    if not len(c):
+        return 0.0
+    # cumsum adds in order as += does, and + 0.0 turns the -0.0 that only
+    # -0.0 terms sum to into the 0.0 that a sum started at 0.0 gives
+    return float(np.cumsum(_monomials(x[used], c, F))[-1] + 0.0)
 
 
 def gradient(p: HomPoly, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.n,):
-        raise ValueError(f"point has shape {x.shape}, expected ({p.n},)")
-    g = np.zeros(p.n)
-    for alpha, c in p.terms.items():
-        for i, a in enumerate(alpha):
-            if not a:
-                continue
-            m = c * a
-            for j, b in enumerate(alpha):
-                e = b - 1 if j == i else b
-                if e:
-                    m *= x[j] ** e
-            g[i] += m
-    return g
+    """Gradient of p at the point x, d T x^(d-1) for the symmetric tensor T
+    of p, on the kernel of the sphere maximizers (sphere._Form)."""
+    x = _point(p, x)
+    if p.is_zero:
+        return np.zeros(p.n)
+    from .sphere import _Form  # sphere imports this module
+    return p.d * _Form(p).at(x)[0]
 
 
 def hessian(p: HomPoly, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    h = np.zeros((p.n, p.n))
-    for alpha, c in p.terms.items():
-        support = [i for i, a in enumerate(alpha) if a]
-        for i in support:
-            for j in support:
-                ai = alpha[i]
-                fac = ai * (alpha[j] - 1) if i == j else ai * alpha[j]
-                if fac == 0:
-                    continue
-                m = c * fac
-                for t, b in enumerate(alpha):
-                    e = b - (t == i) - (t == j)
-                    if e:
-                        m *= x[t] ** e
-                h[i, j] += m
-    return h
+    """Hessian of p at the point x, d (d-1) T x^(d-2), as gradient."""
+    x = _point(p, x)
+    if p.is_zero:
+        return np.zeros((p.n, p.n))
+    from .sphere import _Form
+    return p.d * (p.d - 1) * _Form(p).at(x)[1]
 
 
 def bombieri_inner(p: HomPoly, q: HomPoly) -> float:
@@ -236,7 +210,7 @@ def bombieri_inner(p: HomPoly, q: HomPoly) -> float:
     for alpha, c in small.items():
         other = big.get(alpha)
         if other is not None:
-            total += c * other / _multinomial_cached(p.d, alpha)
+            total += c * other / multinomial(p.d, alpha)
     return total
 
 
@@ -252,18 +226,12 @@ def bombieri_norm(p: HomPoly) -> float:
     if big == 0.0:
         return 0.0
     e = math.frexp(big)[1]
-    if isinstance(p.terms, _TableTerms):
-        # the loop below over the vector: cumsum adds in order as += does.
-        # Only an infinite coefficient leaves c unscaled, and then the norm
-        # is inf
-        c = np.ldexp(_term_coefs(p), -e)
-        with np.errstate(over="ignore"):
-            total = float(np.cumsum(c * c / _exponent_table(p.n, p.d)[2][p.terms.rows])[-1])
-    else:
-        total = 0.0
-        for alpha, c in p.terms.items():
-            c = math.ldexp(c, -e)
-            total += c * c / _multinomial_cached(p.d, alpha)
+    _, c, _, _, mult = _term_arrays(p)
+    # cumsum adds in order as a per-term loop's += does.  Only an infinite
+    # coefficient leaves c unscaled, and then the norm is inf
+    c = np.ldexp(c, -e)
+    with np.errstate(over="ignore"):
+        total = float(np.cumsum(c * c / mult)[-1])
     try:
         return math.ldexp(math.sqrt(total), e)
     except OverflowError:
@@ -272,7 +240,7 @@ def bombieri_norm(p: HomPoly) -> float:
 
 def max_coeff_norm(p: HomPoly) -> float:
     """Largest absolute coefficient; 0 for the zero polynomial."""
-    return float(np.max(np.abs(_term_coefs(p)), initial=0.0))
+    return float(np.max(np.abs(_term_arrays(p)[1]), initial=0.0))
 
 
 def pow_linear(u, d: int) -> HomPoly:
@@ -293,36 +261,46 @@ def _pow_table(u: np.ndarray, d: int) -> np.ndarray:
     multinomial times u[i] ** alpha_i in ascending i (see _monomials).  A
     zero u[i] zeroes its rows, and the other rows get the bits pow_linear
     gives them on the support of u."""
-    return _monomials(len(u), d, u, _exponent_table(len(u), d)[2])
+    return _monomials(u, _exponent_table(len(u), d)[2], _table_factors(len(u), d)[1])
 
 
 @lru_cache(maxsize=32)
-def _power_index(n: int, d: int) -> np.ndarray:
-    """Over _exponent_table(n, d), the factor each position of an index tuple
-    contributes to its monomial, as a flat index into an n x (d + 1) table of
-    powers: variable i to the power alpha_i where i's run of equal entries
-    starts, to the power 0 at the run's other positions; read-only."""
-    combos = _exponent_table(n, d)[0]
-    F = combos * (d + 1)
-    for k in range(d):
-        alpha = (combos == combos[:, k:k + 1]).sum(axis=1)
-        starts = k == 0 or combos[:, k] != combos[:, k - 1]
-        F[:, k] += np.where(starts, alpha, 0)
-    F.setflags(write=False)
-    return F
+def _table_factors(n: int, d: int):
+    """_factor_index of _exponent_table(n, d), in which every variable
+    occurs, built once per shape; read-only."""
+    out = _factor_index(n, _exponent_table(n, d)[0])
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
-def _monomials(n: int, d: int, x: np.ndarray, c: np.ndarray, rows=None) -> np.ndarray:
-    """c times x^alpha over the rows of _exponent_table(n, d) (or over the
-    rows `rows`, which c then follows): from c, each row multiplies in
-    x[i] ** alpha_i in ascending i, as the term loop of evaluate does.  The
-    powers are taken one scalar at a time as that loop takes them (numpy's
-    array power can differ in the last bit); x ** 1 is x and x ** 0 is 1
-    exactly, and a position inside a run multiplies by 1."""
-    F = _power_index(n, d)
-    if rows is not None:
-        F = F[rows]
-    pw = np.empty((n, d + 1))
+def _factor_index(n: int, J: np.ndarray):
+    """For ascending rows J of d variable indices (x^alpha repeats variable i
+    alpha_i times): the variables that occur in J; the factor index, the
+    flat index of each position's factor in a table of their powers 0..d,
+    x_i ** alpha_i at the end of i's run of equal entries (where i's rank
+    in the run is alpha_i) and x_i ** 0 elsewhere in it; and each row's
+    multinomial d! / prod(alpha_i!), exact in int64 as d <= 20, the ranks
+    over a row multiplying to prod(alpha_i!)."""
+    d = J.shape[1]
+    rank = _run_ranks(J)
+    last = np.ones(J.shape, bool)
+    last[:, :-1] = J[:, 1:] != J[:, :-1]
+    seen = np.zeros(n, bool)
+    seen[J] = True
+    F = (np.cumsum(seen) - 1)[J] * (d + 1) + rank * last
+    return np.flatnonzero(seen), F, math.factorial(d) // rank.prod(axis=1)
+
+
+def _monomials(x: np.ndarray, c: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """c times x^alpha over the rows of the factor index F of the variables
+    whose values are x (see _factor_index): from c, each row multiplies in
+    x_i ** alpha_i in ascending i, as a per-term loop does.  The powers are
+    taken one scalar at a time as such a loop takes them (numpy's array power
+    can differ in the last bit); x ** 1 is x and x ** 0 is 1 exactly, so a
+    position inside a run multiplies by 1."""
+    d = F.shape[1]
+    pw = np.empty((len(x), d + 1))
     pw[:, 0], pw[:, 1] = 1.0, x
     for a in range(2, d + 1):
         pw[:, a] = [xi ** a for xi in x]
@@ -439,7 +417,7 @@ def _table_rows(p: HomPoly) -> np.ndarray:
     if cached is not None:
         return cached
     flat = _exponent_table(p.n, p.d)[1]
-    rows = np.searchsorted(flat, _flat_index(p.n, p.d, _index_tuples(p)))
+    rows = np.searchsorted(flat, _flat_index(p.n, p.d, _term_arrays(p)[0]))
     rows.setflags(write=False)
     object.__setattr__(p, "_rows", rows)
     return rows
@@ -451,15 +429,32 @@ def _table_coefs(p: HomPoly) -> np.ndarray:
         return p.terms.coef
     out = np.zeros(len(_exponent_table(p.n, p.d)[1]))
     if p.terms:
-        out[_table_rows(p)] = _term_coefs(p)
+        out[_table_rows(p)] = _term_arrays(p)[1]
     return out
 
 
-def _term_coefs(p: HomPoly) -> np.ndarray:
-    """p's coefficients in term order."""
+def _term_arrays(p: HomPoly):
+    """p's terms in term order as read-only arrays, built once per HomPoly:
+    the ascending variable-index row of each monomial (alpha repeats
+    variable i alpha_i times), its coefficient, and what _factor_index gives
+    for those rows (the variables it indexes, the factor index, the exact
+    multinomials), read from the table's for a form held as a vector."""
+    cached = p.__dict__.get("_arrays")
+    if cached is not None:
+        return cached
     if isinstance(p.terms, _TableTerms):
-        return p.terms.coef[p.terms.rows]
-    return np.array(list(p.terms.values()), dtype=float)
+        rows = p.terms.rows
+        used, F, mult = _table_factors(p.n, p.d)
+        arrays = (_exponent_table(p.n, p.d)[0][rows], p.terms.coef[rows], used, F[rows],
+                  mult[rows])
+    else:
+        A = np.array(list(p.terms), dtype=np.int64).reshape(len(p.terms), p.n)
+        J = np.repeat(np.tile(np.arange(p.n), len(A)), A.ravel()).reshape(len(A), p.d)
+        arrays = (J, np.array(list(p.terms.values()), dtype=float)) + _factor_index(p.n, J)
+    for a in arrays:
+        a.setflags(write=False)
+    object.__setattr__(p, "_arrays", arrays)
+    return arrays
 
 
 class _TableTerms(Mapping):
@@ -502,8 +497,7 @@ class _TableTerms(Mapping):
 def _table_poly(n: int, d: int, coef: np.ndarray, order=None) -> HomPoly:
     """The form with coefficient vector coef over _exponent_table(n, d), its
     terms in table order (or in that of the rows `order`), held as that
-    vector (see _TableTerms), with its dense tensor attached within
-    _DENSE_LIMIT."""
+    vector (see _TableTerms)."""
     coef = coef.view()
     coef.setflags(write=False)
     rows = np.flatnonzero(coef) if order is None else order[coef[order] != 0]
@@ -511,10 +505,6 @@ def _table_poly(n: int, d: int, coef: np.ndarray, order=None) -> HomPoly:
     p = object.__new__(HomPoly)
     for name, value in (("n", n), ("d", d), ("terms", _TableTerms(n, d, coef, rows))):
         object.__setattr__(p, name, value)
-    if n ** d <= _DENSE_LIMIT:
-        T = _symmetric_tensor(n, d, coef)
-        T.setflags(write=False)
-        object.__setattr__(p, "_dense", T)
     return p
 
 
@@ -531,15 +521,6 @@ def _table_norm(coef: np.ndarray, weights: np.ndarray) -> float:
         return math.ldexp(math.sqrt(float(np.sum(c * c / weights))), e)
     except OverflowError:
         return math.inf
-
-
-def _index_tuples(p: HomPoly) -> np.ndarray:
-    """The ascending variable-index tuple of each monomial of p, in term order:
-    alpha repeats variable i alpha_i times."""
-    if isinstance(p.terms, _TableTerms):
-        return _exponent_table(p.n, p.d)[0][p.terms.rows]
-    A = np.array(list(p.terms), dtype=np.int64).reshape(len(p.terms), p.n)
-    return np.repeat(np.tile(np.arange(p.n), len(A)), A.ravel()).reshape(len(A), p.d)
 
 
 def poly_from_dense(T: np.ndarray, prune_tol: float = 0.0) -> HomPoly:
@@ -687,9 +668,10 @@ def quadratic_matrix(p: HomPoly) -> np.ndarray:
     cached = p.__dict__.get("_dense")
     if cached is not None:
         return np.array(cached)
-    i, j = _index_tuples(p).T
+    J, c = _term_arrays(p)[:2]
+    i, j = J.T
     A = np.zeros((p.n, p.n))
-    A[i, j] = A[j, i] = _term_coefs(p) * np.where(i == j, 1.0, 0.5)
+    A[i, j] = A[j, i] = c * np.where(i == j, 1.0, 0.5)
     return A
 
 

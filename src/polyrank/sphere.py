@@ -54,8 +54,7 @@ from .poly import (
     _DENSE_LIMIT,
     HomPoly,
     _derivative_table,
-    _index_tuples,
-    _term_coefs,
+    _term_arrays,
     bombieri_norm,
     dense_tensor,
     evaluate,
@@ -216,7 +215,7 @@ class _Form:
             return
         self.T = None
         # a derivative-table row comes from one term: the tables ignore term order
-        J, c = _index_tuples(p), _term_coefs(p)
+        J, c = _term_arrays(p)[:2]
         var, self._Jg, self._cg = _derivative_table(p.n, J, c, 1)
         self._seg = np.flatnonzero(np.r_[True, var[1:] != var[:-1]])
         self._var = var[self._seg]
@@ -245,7 +244,7 @@ class _Form:
             return np.vstack([self.tx(X[lo:lo + block]) for lo in range(0, r, block)])
         if self.T is not None:
             return self.dense(X)[0]
-        mono = np.prod(X[:, self._Jg], axis=2) * self._cg
+        mono = _gathered_product(X, self._Jg) * self._cg
         out = np.zeros((r, n))
         out[:, self._var] = np.add.reduceat(mono, self._seg, axis=1)
         return out
@@ -255,7 +254,7 @@ class _Form:
         if self.T is not None:
             return self.dense(x[None])[1][0]
         n = self.n
-        vals = np.prod(x[self._Jh], axis=1) * self._ch
+        vals = _gathered_product(x, self._Jh) * self._ch
         return np.bincount(self._hkey, weights=vals, minlength=n * n).reshape(n, n)
 
     def at(self, x: np.ndarray):
@@ -268,6 +267,18 @@ class _Form:
 
     def values(self, X: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", X, self.tx(X))
+
+
+def _gathered_product(X: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """prod over k of X[..., J[:, k]]: the gathered factor columns multiplied
+    one after another, which gives the bits of np.prod(X[..., J], axis=-1)
+    in about half its time."""
+    if not J.shape[1]:
+        return np.ones(X.shape[:-1] + (len(J),))
+    out = X[..., J[:, 0]]
+    for k in range(1, J.shape[1]):
+        out *= X[..., J[:, k]]
+    return out
 
 
 def _start_points(n: int, restarts: int, rng: np.random.Generator) -> np.ndarray:
@@ -411,8 +422,9 @@ def _ascend(form: _Form, X0: np.ndarray, sign: np.ndarray, shift: float,
                 keep = (~done).nonzero()[0]
                 rows, X, TX, s, v, bv, bX = (a.take(keep, 0) for a in (rows, X, TX, s, v, bv, bX))
                 if newton:
-                    H, K, R, trusted, sd, A, Q = (a.take(keep, 0)
-                                                  for a in (H, K, R, trusted, sd, A, Q))
+                    H, trusted, sd = (a.take(keep, 0) for a in (H, trusted, sd))
+                    # the scratch arrays carry nothing from row to row
+                    K, R, A, Q = (a[:len(keep)] for a in (K, R, A, Q))
             if not newton:
                 G = s * TX + shift * X
                 norms = np.linalg.norm(G, axis=1, keepdims=True)

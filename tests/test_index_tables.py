@@ -3,7 +3,6 @@ quadratic converters, dense_tensor and the gather kernel's index rows, each
 checked bit for bit against the per-term loop it replaced."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -11,10 +10,12 @@ import pytest
 from polyrank import HomPoly, bombieri_norm, multinomial, sphere
 from polyrank.generators import bombieri_gaussian, sparse_gaussian
 from polyrank.frames import random_frame, random_orthogonal
-from polyrank.poly import (_derivative_table, _exponent_table, _pow_table, _substituted_coefs,
-                           _table_coefs, _table_poly, dense_tensor, evaluate, pow_linear,
-                           quadratic_matrix, quadratic_poly)
+from polyrank.poly import (_TERM_LIMIT, _derivative_table, _exponent_table, _pow_table,
+                           _substituted_coefs, _table_coefs, _table_poly, dense_tensor, evaluate,
+                           num_exponents, pow_linear, quadratic_matrix, quadratic_poly)
 from polyrank.sphere import _Form
+
+from conftest import bombieri_norm_loop, evaluate_loop
 
 
 # ------------------------------------------------- the per-term reference loops
@@ -182,7 +183,7 @@ def test_table_form_evaluates_to_the_dict_loop_bits(p):
     points += [x / np.linalg.norm(x) for x in points] + [1e3 * points[0], -points[1]]
     points += [np.where(rng.random(n) < 0.5, 0.0, points[2]), np.zeros(n)]
     for x in points:
-        assert evaluate(held, x).hex() == evaluate(ref, x).hex()
+        assert evaluate(held, x).hex() == evaluate_loop(ref, x).hex()
     # the term dict is built only now, on first use, in the held order
     assert held.terms._dict is None and len(held.terms) == len(ref.terms)
     assert list(held.terms.items()) == list(ref.terms.items())
@@ -190,37 +191,50 @@ def test_table_form_evaluates_to_the_dict_loop_bits(p):
     assert _table_poly(n, d, np.zeros_like(coef)).is_zero
 
 
-def _bombieri_norm_loop(p):
-    """bombieri_norm as a per-term loop: the terms scaled by the power of two
-    of the largest, squared over their multinomials and added in order."""
-    big = max(abs(c) for c in p.terms.values())
-    e = math.frexp(big)[1]
-    total = 0.0
-    for alpha, c in p.terms.items():
-        c = math.ldexp(c, -e)
-        total += c * c / multinomial(p.d, alpha)
-    try:
-        return math.ldexp(math.sqrt(total), e)
-    except OverflowError:
-        return math.inf
+def _above_term_limit(n, d, nterms, rng):
+    """A dict form on up to nterms random monomials whose exponent table has
+    more rows than _TERM_LIMIT, so that no table can hold it."""
+    assert num_exponents(n, d) > _TERM_LIMIT
+    alphas = {tuple(np.bincount(rng.integers(0, n, d), minlength=n).tolist())
+              for _ in range(nterms)}
+    return HomPoly(n, d, {a: rng.standard_normal() for a in alphas})
 
 
-def test_bombieri_norm_keeps_the_per_term_loop_bits():
-    # on dict forms and on forms held as vectors (in a shuffled term order),
-    # scaled into overflow, far down and to subnormal coefficients
+def _scaled_forms():
+    """Dict forms and the same forms held as vectors (in a shuffled term
+    order), then dict forms above _TERM_LIMIT, each scaled into overflow, far
+    down and to subnormal coefficients."""
     rng = np.random.default_rng(6)
+    scales = (1.0, 2.0 ** 600, 2.0 ** -600, 1e-310, 3.7e300)
     for i in range(60):
         n, d = 1 + i % 7, 1 + i % 9
         for p in (bombieri_gaussian(n, d, rng), sparse_gaussian(n, d, 3, rng)):
-            for scale in (1.0, 2.0 ** 600, 2.0 ** -600, 1e-310, 3.7e300):
-                with np.errstate(over="ignore"):
-                    q = p * scale
+            for scale in scales:
+                q = p * scale
                 if q.is_zero:
                     continue
                 coef = _table_coefs(q)
-                held = _table_poly(n, d, coef, rng.permutation(len(coef)))
-                for form in (q, held):
-                    assert bombieri_norm(form).hex() == _bombieri_norm_loop(form).hex()
+                yield q
+                yield _table_poly(n, d, coef, rng.permutation(len(coef)))
+    for n, d in ((300, 6), (1000, 5), (60, 9)):
+        p = _above_term_limit(n, d, 40, rng)
+        yield from (p * scale for scale in scales)
+
+
+def test_bombieri_norm_keeps_the_per_term_loop_bits():
+    for form in _scaled_forms():
+        assert bombieri_norm(form).hex() == bombieri_norm_loop(form).hex()
+
+
+def test_evaluate_keeps_the_per_term_loop_bits():
+    rng = np.random.default_rng(7)
+    for form in _scaled_forms():
+        n = form.n
+        x = rng.standard_normal(n)
+        for point in (x, 1e3 * x, np.where(rng.random(n) < 0.5, 0.0, x), np.zeros(n)):
+            # overflow to inf, and inf - inf, happen alike in both
+            with np.errstate(all="ignore"):
+                assert evaluate(form, point).hex() == evaluate_loop(form, point).hex()
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -384,6 +398,19 @@ def test_gather_rows_match_the_sorted_per_term_rows(monkeypatch, p):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.array_equal(_bits(form._cg), _bits(cg))
     assert np.array_equal(_bits(form._ch), _bits(ch))
+
+
+@pytest.mark.parametrize("p", list(_gather_forms()), ids=repr)
+def test_gathered_products_keep_the_bits_of_np_prod(monkeypatch, p):
+    # the factor columns multiplied one after another, in the order np.prod
+    # reduces the short last axis of the gathered array
+    monkeypatch.setattr(sphere, "_DENSE_PER_GATHER", 0)
+    form = _Form(p)
+    X = np.random.default_rng(p.n).standard_normal((5, p.n))
+    assert np.array_equal(_bits(sphere._gathered_product(X, form._Jg)),
+                          _bits(np.prod(X[:, form._Jg], axis=2)))
+    assert np.array_equal(_bits(sphere._gathered_product(X[0], form._Jh)),
+                          _bits(np.prod(X[0][form._Jh], axis=1)))
 
 
 def _derivative_table_unique(n, J, c, order):

@@ -28,7 +28,7 @@ from polyrank import poly as poly_mod
 from polyrank.frames import random_frame, random_orthogonal
 from polyrank.generators import bombieri_gaussian, sparse_gaussian
 
-from conftest import poly_of
+from conftest import gradient_loop, hessian_loop, poly_of
 
 
 # ---------------------------------------------------------------------- basics
@@ -125,6 +125,32 @@ def test_hessian_matches_finite_differences(rng):
         e[i] = h
         fd = (gradient(p, x + e) - gradient(p, x - e)) / (2 * h)
         assert np.allclose(H[:, i], fd, rtol=1e-4, atol=1e-5)
+
+
+def test_gradient_and_hessian_match_the_per_term_loops(rng):
+    # on both kernels of sphere._Form (the sparse forms, n**d far above their
+    # gather size, take the gather kernel), at d = 1 and 2, and on zero forms
+    forms = [bombieri_gaussian(n, d, rng) for n, d in ((1, 3), (4, 1), (5, 2), (4, 3), (3, 5))]
+    forms += [sparse_gaussian(12, 5, 6, rng), sparse_gaussian(100, 1, 2, rng),
+              zero_poly(3, 1), zero_poly(4, 3)]
+    for p in forms:
+        x = rng.standard_normal(p.n)
+        x /= np.linalg.norm(x)
+        # unit points: every entry sums terms of size at most d^2 |c|
+        tol = 1e-13 * p.d * p.d * sum(abs(c) for c in p.terms.values())
+        assert np.max(np.abs(gradient(p, x) - gradient_loop(p, x))) <= tol
+        assert np.max(np.abs(hessian(p, x) - hessian_loop(p, x))) <= tol
+        assert gradient(p, x).shape == (p.n,) and hessian(p, x).shape == (p.n, p.n)
+
+
+@pytest.mark.parametrize("f", [evaluate, gradient, hessian], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("shape", [(2,), (4,), (1, 3)], ids=str)
+def test_pointwise_functions_refuse_a_point_of_the_wrong_shape(f, shape):
+    # at n = 3 a point of length n - 1 or n + 1, or a 2-D one, is refused with
+    # one line rather than read in part
+    for p in (bombieri_gaussian(3, 3, np.random.default_rng(0)), zero_poly(3, 2)):
+        with pytest.raises(ValueError, match=r"^point has shape \(.*\), expected \(3,\)$"):
+            f(p, np.ones(shape))
 
 
 # -------------------------------------------------------------- inner products

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from polyrank import OptimizerConfig, bombieri_norm, concentrate, greedy_approximate
+from polyrank import HomPoly, OptimizerConfig, bombieri_norm, concentrate, greedy_approximate
 from polyrank import concentration, generators, serialize, sphere
 from polyrank import poly as poly_mod
 from polyrank.cli import _sig12, main
@@ -28,7 +28,7 @@ from polyrank.serialize import (
     report_to_dict,
 )
 
-from conftest import poly_of
+from conftest import bombieri_norm_loop, evaluate_loop, poly_of
 
 SUM4 = ('{"n":4,"d":2,"terms":[{"alpha":[2,0,0,0],"c":1.0},{"alpha":[0,2,0,0],"c":1.0},'
         '{"alpha":[0,0,2,0],"c":1.0},{"alpha":[0,0,0,2],"c":1.0}]}')
@@ -155,6 +155,24 @@ def test_cli_opnorm_sum_squares(capsys):
     assert payload["value"] == pytest.approx(1.0, rel=1e-9)
     spread = payload["restart_spread"]
     assert spread["min"] <= spread["median"] <= spread["max"]
+
+
+def test_cli_norm_and_opnorm_above_the_term_limit(capsys):
+    # no exponent table holds n = 300, d = 6 (1.1e12 monomials), so both
+    # commands run on the form's own terms, to the per-term loops' values
+    rng = np.random.default_rng(11)
+    terms = {tuple(np.bincount(rng.integers(0, 300, 6), minlength=300).tolist()):
+             float(rng.standard_normal()) for _ in range(8)}
+    p = HomPoly(300, 6, terms)
+    text = json.dumps({"n": 300, "d": 6,
+                       "terms": [{"alpha": list(a), "c": c} for a, c in terms.items()]})
+    code, out, _ = run_cli(["norm", text, "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["bombieri"] == bombieri_norm_loop(p)
+    code, out, _ = run_cli(["opnorm", text, "--format", "json", "--restarts", "4"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == abs(evaluate_loop(p, np.array(payload["argmax"])))
 
 
 def test_cli_opnorm_oracle_flag(capsys):

@@ -34,7 +34,7 @@ from polyrank import sphere
 from polyrank.frames import random_frame, random_orthogonal
 from polyrank.generators import bombieri_gaussian, sparse_gaussian
 
-from conftest import poly_of
+from conftest import evaluate_loop, gradient_loop, hessian_loop, poly_of
 
 CFG = OptimizerConfig(restarts=12, seed=7)
 
@@ -105,9 +105,9 @@ def test_form_kernels_match_dict_derivatives(monkeypatch, rng, kernel):
             tol = 1e-13 * d * d * sum(abs(c) for c in p.terms.values())
             G, vals = form.tx(X), form.values(X)
             for x, g, v in zip(X, G, vals):
-                assert np.max(np.abs(d * g - gradient(p, x))) <= tol
-                assert np.max(np.abs(d * (d - 1) * form.txx(x) - hessian(p, x))) <= tol
-                assert abs(v - evaluate(p, x)) <= tol
+                assert np.max(np.abs(d * g - gradient_loop(p, x))) <= tol
+                assert np.max(np.abs(d * (d - 1) * form.txx(x) - hessian_loop(p, x))) <= tol
+                assert abs(v - evaluate_loop(p, x)) <= tol
 
 
 @pytest.mark.parametrize("kernel", ["dense", "gather"])
