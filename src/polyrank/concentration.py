@@ -42,12 +42,14 @@ from .poly import (
     HomPoly,
     _exponent_table,
     _flat_index,
+    _poly_from_table,
     _pow_table,
     _run_ranks,
     _substitute_table,
     _table_coefs,
     _table_norm,
     _table_poly,
+    _term_arrays,
     bombieri_norm,
     evaluate,
     max_coeff_norm,
@@ -72,33 +74,34 @@ class AlphaDecomposition:
 
 
 def alpha_decompose(p: HomPoly, k: int) -> AlphaDecomposition:
-    """Split p over head exponents; lossless, reassemble() inverts it exactly."""
+    """Split p over head exponents; lossless, reassemble() inverts it exactly.
+    It runs _head_runs on p's own index rows, so it takes forms of any size;
+    the parts come in sorted head order, each with its terms in table order."""
     if not 1 <= k < p.n:
         raise ValueError(f"head size must be in 1..{p.n - 1}, got {k}")
-    groups: dict = {}
-    for alpha, c in p.terms.items():
-        groups.setdefault(alpha[:k], {})[alpha[k:]] = c
-    parts: dict = {}
-    for head in sorted(groups):
-        tails = groups[head]
-        w = p.d - sum(head)
-        if w == 0:
-            parts[head] = tails[(0,) * (p.n - k)]
-        else:
-            parts[head] = HomPoly._trusted(p.n - k, w, tails)
-    return AlphaDecomposition(k=k, n=p.n, d=p.d, parts=parts)
+    J, c = _term_arrays(p)[:2]
+    order = np.lexsort(J.T[::-1])
+    J, c = J[order], c[order]
+    parts = {head: float(c[lo]) if w == p.d
+             else _poly_from_table(p.n - k, p.d - w, J[lo:hi, w:] - k, c[lo:hi])
+             for head, w, lo, hi in _head_runs(J, k)}
+    return AlphaDecomposition(k=k, n=p.n, d=p.d, parts=dict(sorted(parts.items())))
 
 
 def reassemble(dec: AlphaDecomposition) -> HomPoly:
-    terms: dict = {}
-    zero_tail = (0,) * (dec.n - dec.k)
+    """The form whose alpha_decompose is dec: each head's index row ahead of
+    its part's rows shifted past the head variables."""
+    rows, coefs = [np.zeros((0, dec.d), np.int64)], [np.zeros(0)]
     for head, part in dec.parts.items():
-        if isinstance(part, HomPoly):
-            for tail, c in part.terms.items():
-                terms[head + tail] = c
-        else:
-            terms[head + zero_tail] = part
-    return HomPoly(dec.n, dec.d, terms)
+        lead = np.repeat(np.arange(dec.k), head)
+        J, c = _term_arrays(part)[:2] if isinstance(part, HomPoly) else (
+            np.zeros((1, 0), np.int64), np.array([float(part)]))
+        if len(head) != dec.k or len(lead) + J.shape[1] != dec.d or (
+                isinstance(part, HomPoly) and part.n != dec.n - dec.k):
+            raise ValueError(f"part of head {head} does not fit ({dec.n} vars, degree {dec.d})")
+        rows.append(np.hstack([np.broadcast_to(lead, (len(J), len(lead))), J + dec.k]))
+        coefs.append(c)
+    return _poly_from_table(dec.n, dec.d, np.vstack(rows), np.concatenate(coefs))
 
 
 def monomial_count_below(k: int, d: int) -> int:
@@ -116,12 +119,6 @@ def frame_budget(k: int, d: int) -> int:
     return k + monomial_count_below(k, d)
 
 
-def _low_heads(dec: AlphaDecomposition):
-    for head in sorted(dec.parts):
-        if sum(head) < dec.d:
-            yield head, dec.parts[head]
-
-
 def concentration_defect(p: HomPoly, k: int, cfg: OptimizerConfig | None = None):
     """Defect of p at head size k: (defect, per-head contributions, defect_inf).
 
@@ -130,12 +127,18 @@ def concentration_defect(p: HomPoly, k: int, cfg: OptimizerConfig | None = None)
     largest absolute coefficient of each part instead.
     """
     cfg = cfg or OptimizerConfig()
-    dec = alpha_decompose(p, k)
-    maxima = {head: operator_norm(part, cfg) for head, part in _low_heads(dec)}
+    parts = alpha_decompose(p, k).parts
+    maxima, defect_inf = _part_maxima({h: part for h, part in parts.items() if sum(h) < p.d}, cfg)
     per_alpha = {head: sm.value ** 2 for head, sm in maxima.items()}
-    defect = sum(per_alpha.values())
-    defect_inf = sum(max_coeff_norm(part) ** 2 for _, part in _low_heads(dec))
-    return defect, per_alpha, defect_inf
+    return sum(per_alpha.values(), 0.0), per_alpha, defect_inf
+
+
+def _part_maxima(parts: dict, cfg: OptimizerConfig):
+    """The sphere maximum of each tail part in sorted head order, and
+    defect_inf, the sum of the parts' squared largest coefficients."""
+    heads = sorted(parts)
+    maxima = {h: operator_norm(parts[h], cfg) for h in heads}
+    return maxima, sum((max_coeff_norm(parts[h]) ** 2 for h in heads), 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,25 +207,30 @@ def _tail_parts(n: int, d: int, k: int, coef: np.ndarray) -> dict:
             for alpha, w, lo, hi in _head_slices(n, d, k) if np.any(coef[lo:hi])}
 
 
+def _head_runs(J: np.ndarray, k: int) -> tuple:
+    """(head exponent, head weight w, lo, hi) for each run of rows of J that
+    share their head (the exponents of the first k variables), J's index rows
+    ascending within each row and in lexicographic order over the rows.  A
+    row's entries below k lead it, so the rows of one head are consecutive,
+    and entries w.. of rows lo..hi - 1, less k, are its tail's index rows."""
+    if not len(J):
+        return ()
+    head = np.where(J < k, J, k)
+    weight = np.count_nonzero(J < k, axis=1)
+    starts = np.flatnonzero(np.r_[True, np.any(head[1:] != head[:-1], axis=1)])
+    ends = np.r_[starts[1:], len(J)]
+    return tuple((tuple(np.bincount(J[lo, :weight[lo]], minlength=k).tolist()),
+                  int(weight[lo]), lo, hi)
+                 for lo, hi in zip(starts.tolist(), ends.tolist()))
+
+
 @lru_cache(maxsize=64)
 def _head_slices(n: int, d: int, k: int) -> tuple:
-    """(head exponent, head weight w, lo, hi) for each head of weight w < d
-    over the first k variables, in table order.
-
-    The rows of one head are consecutive in _exponent_table(n, d) (its
-    entries below k lead each row), and their tails, less k, are the rows of
-    _exponent_table(n - k, d - w) in order: rows lo..hi - 1 of a coefficient
-    vector are the part's coefficient vector.
-    """
-    combos = _exponent_table(n, d)[0]
-    head = np.where(combos < k, combos, k)
-    weight = np.count_nonzero(combos < k, axis=1)
-    starts = np.flatnonzero(np.r_[True, np.any(head[1:] != head[:-1], axis=1)])
-    ends = np.r_[starts[1:], len(combos)]
-    low = weight[starts] < d
-    return tuple((tuple(np.bincount(combos[lo, :weight[lo]], minlength=k).tolist()),
-                  int(weight[lo]), lo, hi)
-                 for lo, hi in zip(starts[low].tolist(), ends[low].tolist()))
+    """_head_runs of _exponent_table(n, d) for the heads of weight w < d: the
+    tails of each are the rows of _exponent_table(n - k, d - w) in order, so
+    rows lo..hi - 1 of a coefficient vector are the part's coefficient
+    vector."""
+    return tuple(run for run in _head_runs(_exponent_table(n, d)[0], k) if run[1] < d)
 
 
 @lru_cache(maxsize=16)
@@ -338,15 +346,14 @@ def _derivative_index(n: int, d: int):
         rows, weights = np.arange(n)[:, None], np.ones((n, 1))
     else:
         beta, _, mult = _exponent_table(n, d - 1)
-        # beta + e_j as an ascending index tuple, for every j and beta
-        tuples = np.empty((n, len(beta), d), np.int64)
-        tuples[:, :, :-1] = beta
-        tuples[:, :, -1] = np.arange(n)[:, None]
-        tuples.sort(axis=2)
-        rows = np.searchsorted(_exponent_table(n, d)[1],
-                               _flat_index(n, d, tuples.reshape(-1, d))).reshape(n, -1)
-        beta_j = np.count_nonzero(beta[None] == np.arange(n)[:, None, None], axis=2)
-        weights = (beta_j + 1) / d / np.sqrt(mult)
+        flat, root = _exponent_table(n, d)[1], np.sqrt(mult)
+        rows, weights = np.empty((n, len(beta)), np.int64), np.empty((n, len(beta)))
+        # one variable at a time, so that no temporary outgrows one row of W
+        for j in range(n):
+            # beta + e_j as an ascending index tuple
+            tuples = np.sort(np.column_stack([beta, np.full(len(beta), j)]), axis=1)
+            rows[j] = np.searchsorted(flat, _flat_index(n, d, tuples))
+            weights[j] = (np.count_nonzero(beta == j, axis=1) + 1) / d / root
     rows.setflags(write=False)
     weights.setflags(write=False)
     return rows, weights
@@ -484,9 +491,7 @@ def concentrate(p: HomPoly, eps: float, cfg: OptimizerConfig | None = None,
         maxima = {(): approx.stop_max}
         defect_inf = max_coeff_norm(p) ** 2
     else:
-        parts = _tail_parts(n, d, k, c_rot)
-        maxima = {h: operator_norm(part, cfg) for h, part in sorted(parts.items())}
-        defect_inf = sum((max_coeff_norm(part) ** 2 for _, part in sorted(parts.items())), 0.0)
+        maxima, defect_inf = _part_maxima(_tail_parts(n, d, k, c_rot), cfg)
     # each value is |part| at its argmax, so these are the values verify_chain evaluates
     per_alpha = {h: sm.value ** 2 for h, sm in maxima.items()}
     z_alpha = {h: sm.argmax for h, sm in maxima.items()}

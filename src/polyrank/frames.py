@@ -47,14 +47,11 @@ class Frame:
         return self.basis @ self.basis.T
 
 
-def gram_schmidt(vectors, tol: float = 1e-12) -> np.ndarray:
-    """Orthonormalize the given vectors (columns of the result).
-
-    Vectors that are numerically dependent on the span of the earlier ones are
-    dropped.  Two orthogonalization passes keep the result orthonormal well
-    below the frame tolerance.
-    """
-    cols: list[np.ndarray] = []
+def _extend(cols: list, vectors, tol: float) -> list:
+    """Append to the orthonormal columns cols each vector in turn, orthogonalized
+    against cols in two passes (which keep the result orthonormal well below
+    the frame tolerance) and normalized; a vector whose norm then is at most
+    tol, numerically in the span of the earlier ones, is dropped."""
     for v in vectors:
         v = np.asarray(v, dtype=float).copy()
         for _ in range(2):
@@ -63,6 +60,13 @@ def gram_schmidt(vectors, tol: float = 1e-12) -> np.ndarray:
         norm = np.linalg.norm(v)
         if norm > tol:
             cols.append(v / norm)
+    return cols
+
+
+def gram_schmidt(vectors, tol: float = 1e-12) -> np.ndarray:
+    """Orthonormalize the given vectors (columns of the result), dropping
+    those numerically dependent on the span of the earlier ones."""
+    cols = _extend([], vectors, tol)
     if not cols:
         return np.zeros((len(np.asarray(vectors[0])), 0)) if len(vectors) else np.zeros((0, 0))
     return np.stack(cols, axis=1)
@@ -71,25 +75,15 @@ def gram_schmidt(vectors, tol: float = 1e-12) -> np.ndarray:
 def complete_orthogonal(basis: np.ndarray) -> np.ndarray:
     """Extend an n x k orthonormal basis to a full n x n orthogonal matrix.
 
-    The completion Gram-Schmidts the standard basis vectors in index order
-    against the given columns, so the result is deterministic.
+    The completion extends the given columns by the standard basis vectors in
+    index order, each kept when it stays above 1e-8 (so every one after a
+    full basis is dropped), and the result is deterministic.
     """
     basis = np.asarray(basis, dtype=float)
     n, k = basis.shape
     if k and not is_orthonormal_columns(basis):
         raise ValueError("cannot complete a non-orthonormal basis")
-    cols = [basis[:, j].copy() for j in range(k)]
-    for i in range(n):
-        if len(cols) == n:
-            break
-        v = np.zeros(n)
-        v[i] = 1.0
-        for _ in range(2):
-            for c in cols:
-                v -= (c @ v) * c
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            cols.append(v / norm)
+    cols = _extend([basis[:, j].copy() for j in range(k)], np.eye(n), 1e-8)
     if len(cols) != n:
         raise ValueError("failed to complete basis to a full orthogonal matrix")
     return np.stack(cols, axis=1)
@@ -113,8 +107,5 @@ def random_frame(n: int, k: int, rng: np.random.Generator) -> Frame:
 
 
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random orthogonal matrix (QR of a Gaussian, sign-fixed)."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+    """Haar-ish random orthogonal matrix: a copy of random_frame(n, n, rng).basis."""
+    return random_frame(n, n, rng).basis.copy()

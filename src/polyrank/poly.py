@@ -32,6 +32,13 @@ PRUNE_REL = 1e-14
 # substitution of a larger form recurses on its n derivatives of degree d - 1.
 _DENSE_LIMIT = 4_000_000
 
+# A substitution reads p(M y) from the dense tensor (d GEMMs of n**(d+1)
+# flops) while n**d is at most this many times the C(n+d-1, d) rows it fills,
+# and recurses past that.  64 was measured, one thread, over shapes (3..20,
+# 5..15): 32 and 128 were each slower on some shape.  At d <= 3 and n <= 8
+# (the chain and CLI forms) n**d is at most 4.3 rows, so those stay dense.
+_DENSE_PER_ROW = 64
+
 # Most rows an exponent table (and so any coefficient vector over it) may
 # have; the CLI refuses inputs and start arrays above it too.
 _TERM_LIMIT = 10_000_000
@@ -190,7 +197,7 @@ def gradient(p: HomPoly, x) -> np.ndarray:
     if p.is_zero:
         return np.zeros(p.n)
     from .sphere import _Form  # sphere imports this module
-    return p.d * _Form(p).at(x)[0]
+    return p.d * _Form(p).at(x[None])[0][0]
 
 
 def hessian(p: HomPoly, x) -> np.ndarray:
@@ -199,7 +206,7 @@ def hessian(p: HomPoly, x) -> np.ndarray:
     if p.is_zero:
         return np.zeros((p.n, p.n))
     from .sphere import _Form
-    return p.d * (p.d - 1) * _Form(p).at(x)[1]
+    return p.d * (p.d - 1) * _Form(p).at(x[None])[1][0]
 
 
 def bombieri_inner(p: HomPoly, q: HomPoly) -> float:
@@ -311,16 +318,16 @@ def _monomials(x: np.ndarray, c: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def restrict_zero(p: HomPoly, keep) -> HomPoly:
-    """Set every variable outside `keep` (0-based indices) to zero."""
+    """Set every variable outside `keep` (0-based indices) to zero: the terms
+    whose index rows lie in keep, in term order."""
     keep = set(keep)
     if any(i < 0 or i >= p.n for i in keep):
         raise ValueError("keep indices out of range")
-    terms = {
-        alpha: c
-        for alpha, c in p.terms.items()
-        if all(a == 0 or i in keep for i, a in enumerate(alpha))
-    }
-    return HomPoly._trusted(p.n, p.d, terms)
+    kept = np.zeros(p.n, bool)
+    kept[np.fromiter(keep, np.int64, len(keep))] = True
+    J, c = _term_arrays(p)[:2]
+    rows = kept[J].all(axis=1)
+    return _poly_from_table(p.n, p.d, J[rows], c[rows])
 
 
 def _flat_index(n: int, d: int, combos: np.ndarray) -> np.ndarray:
@@ -588,8 +595,8 @@ def _substituted_coefs(n: int, d: int, coef: np.ndarray, M: np.ndarray,
                        start: int = 0) -> np.ndarray:
     """Coefficients of p(M @ y), p the form whose coefficient vector over
     _exponent_table(n, d) is coef, on the suffix of that table whose indices
-    are all >= start: within _DENSE_LIMIT (or at d = 1) read from
-    T x_1 M ... x_d M, T the tensor of p; above it by Euler's identity
+    are all >= start: at a dense leaf (see _DENSE_PER_ROW) or at d = 1 from
+    T x_1 M ... x_d M, T the tensor of p; otherwise by Euler's identity
     p(M y) = sum_j y_j q_j(M y), q_j = (1/d) d_{M[:, j]} p of degree d - 1,
     reading each beta from q_j(M y) at beta - e_j, j its smallest index,
     times d / beta_j, with q_j(M y) recursing from start j.
@@ -598,7 +605,7 @@ def _substituted_coefs(n: int, d: int, coef: np.ndarray, M: np.ndarray,
     s = np.searchsorted(combos[:, 0], start)
     if not coef.any():
         return np.zeros(len(combos) - s)
-    if n ** d <= _DENSE_LIMIT or d == 1:
+    if d == 1 or n ** d <= min(_DENSE_LIMIT, _DENSE_PER_ROW * len(combos)):
         T = _symmetric_tensor(n, d, coef).reshape(n, -1)
         for _ in range(d):
             T = (T.T @ M).reshape(n, -1)

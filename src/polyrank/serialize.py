@@ -41,8 +41,11 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
-        items = [f"{inner}{dumps_canonical(val, indent + 1)}" for val in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        # a list of plain ints or of plain floats is formatted in one pass
+        kinds = set(map(type, obj))
+        fmt = {int: str, float: format_float}.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(fmt or (lambda val: dumps_canonical(val, indent + 1)), obj)
+        return "[\n" + inner + f",\n{inner}".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):

@@ -184,16 +184,15 @@ _NEWTON_MAX_STEP = 1.0
 
 
 class _Form:
-    """One form compiled for T x^(d-1) over a batch of points and T x^(d-2)
-    (over a batch on the dense kernel, at one point on the gather kernel).
+    """One form compiled for T x^(d-1) and T x^(d-2) over a batch of points.
 
     T is the symmetric tensor of p, so p(x) = x . T x^(d-1), the gradient is
     d T x^(d-1) and the Hessian d (d-1) T x^(d-2).  When n**d is small against
     the gather size, both come for a batch from one GEMM against the dense
     tensor plus d - 3 batched contractions, then T x^(d-1) = (T x^(d-2)) x;
-    otherwise the monomials of the derivative are gathered from index
-    multisets and summed per variable, so the cost follows the number of
-    terms.
+    otherwise the monomials of the derivatives are gathered from index
+    multisets and summed per variable (per pair of variables for T x^(d-2)),
+    so the cost follows the number of terms.
     """
 
     def __init__(self, p: HomPoly, scale: bool = False):
@@ -222,10 +221,17 @@ class _Form:
         self._hkey, self._Jh, self._ch = _derivative_table(p.n, J, c, 2)
         self._row_floats = max(self._Jg.size, 1)
 
-    def dense(self, X: np.ndarray):
-        """T x^(d-1) and T x^(d-2) for every row x of X, on the dense tensor,
-        one block of rows (see tx)."""
+    def at(self, X: np.ndarray):
+        """T x^(d-1) and T x^(d-2) for every row x of X, in one block (the
+        caller bounds the batch; see tx).  On the gather kernel the order-2
+        table is summed for all rows by one bincount over keys offset by
+        n * n per row, so each row gets the bits it gets alone."""
         r, n = X.shape
+        if self.T is None:
+            vals = _gathered_product(X, self._Jh) * self._ch
+            keys = self._hkey + (n * n) * np.arange(r)[:, None]
+            H = np.bincount(keys.ravel(), weights=vals.ravel(), minlength=r * n * n)
+            return self.tx(X), H.reshape(r, n, n)
         if self.d == 1:
             return np.tile(self.T, (r, 1)), np.zeros((r, n, n))
         Y = X @ self.T.reshape(n, -1)
@@ -237,36 +243,18 @@ class _Form:
         return np.einsum("ijk,ik->ij", H, X), H
 
     def tx(self, X: np.ndarray) -> np.ndarray:
-        """T x^(d-1) for every row x of X."""
+        """T x^(d-1) for every row x of X, in blocks of rows whose
+        temporaries stay within _BLOCK_FLOATS floats."""
         r, n = X.shape
         block = max(1, _BLOCK_FLOATS // self._row_floats)
         if r > block:
             return np.vstack([self.tx(X[lo:lo + block]) for lo in range(0, r, block)])
         if self.T is not None:
-            return self.dense(X)[0]
+            return self.at(X)[0]
         mono = _gathered_product(X, self._Jg) * self._cg
         out = np.zeros((r, n))
         out[:, self._var] = np.add.reduceat(mono, self._seg, axis=1)
         return out
-
-    def txx(self, x: np.ndarray) -> np.ndarray:
-        """T x^(d-2) at the point x, an n x n matrix (zero for linear forms)."""
-        if self.T is not None:
-            return self.dense(x[None])[1][0]
-        n = self.n
-        vals = _gathered_product(x, self._Jh) * self._ch
-        return np.bincount(self._hkey, weights=vals, minlength=n * n).reshape(n, n)
-
-    def at(self, x: np.ndarray):
-        """T x^(d-1) and T x^(d-2) at the point x, from one contraction on
-        the dense kernel."""
-        if self.T is not None:
-            TX, H = self.dense(x[None])
-            return TX[0], H[0]
-        return self.tx(x[None])[0], self.txx(x)
-
-    def values(self, X: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ij->i", X, self.tx(X))
 
 
 def _gathered_product(X: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -363,7 +351,7 @@ def _ascend(form: _Form, X0: np.ndarray, sign: np.ndarray, shift: float,
     the steps along the tangent gradient _STRETCH times as long as the SS-HOPM
     step, at most _MAX_STEP radians; and the _RING points at tangent distance
     _RADIUS in the plane of the tangent gradient and z.  It values them all
-    with one GEMM and d - 2 batched contractions (see _Form.dense) and moves
+    with one GEMM and d - 2 batched contractions (see _Form.at) and moves
     to the best, ties going to Newton, which counts only where s p is concave
     on the tangent space.  Either way one iteration is one move, and a row
     leaves the batch once a move shifts it by less than tol (max-norm), after
@@ -389,7 +377,7 @@ def _ascend(form: _Form, X0: np.ndarray, sign: np.ndarray, shift: float,
     best_v, best_X = np.empty(m), np.empty_like(X0)
     iters, conv = np.empty(m, dtype=np.int64), np.zeros(m, dtype=bool)
     rows, X, s = np.arange(m), X0, sign[:, None]
-    TX, H = form.dense(X) if newton else (form.tx(X), None)
+    TX, H = form.at(X) if newton else (form.tx(X), None)
     v = sign * np.einsum("ij,ij->i", X, TX)
     bv, bX = np.full(m, -np.inf), X0.copy()
     leaving = np.zeros(m, dtype=bool)
@@ -461,7 +449,7 @@ def _ascend(form: _Form, X0: np.ndarray, sign: np.ndarray, shift: float,
                 norms = np.sqrt(np.einsum("ijk,ijk->ij", C, C))
                 C /= norms[:, :, None]
                 C = C.reshape(r * k, n)
-                TXc, Hc = form.dense(C)
+                TXc, Hc = form.at(C)
                 # the first best wins, so ties go to Newton; a NaN never does
                 vc = s * (C * TXc).sum(1).reshape(r, k)
                 np.fmax(vc, -np.inf, out=vc)
@@ -536,7 +524,7 @@ def _polish(form: _Form, x: np.ndarray, rounds: int = 15) -> np.ndarray:
     n, d = form.n, form.d
     if n == 1:
         return x
-    tx, H = form.at(x)
+    tx, H = (a[0] for a in form.at(x[None]))
     fx = float(x @ tx)
     sign = 1.0 if fx >= 0 else -1.0
     K, R = np.zeros((n + 1, n + 1)), np.zeros(n + 1)
@@ -560,7 +548,7 @@ def _polish(form: _Form, x: np.ndarray, rounds: int = 15) -> np.ndarray:
             break
         xn = x + z
         xn /= np.linalg.norm(xn)
-        txn, Hn = form.at(xn)
+        txn, Hn = (a[0] for a in form.at(xn[None]))
         fn = float(xn @ txn)
         if not sign * fn >= sign * fx and step > _FLAT_STEP:
             break
@@ -660,7 +648,7 @@ def _grid_oracle(p: HomPoly, step: float = 0.002) -> float:
     if p.n == 2:
         t = np.arange(0.0, np.pi, step)  # |p| is antipodally symmetric
         pts = np.stack([np.cos(t), np.sin(t)], axis=1)
-        vals = np.abs(form.values(pts))
+        vals = np.abs(np.einsum("ij,ij->i", pts, form.tx(pts)))
         i = int(np.argmax(vals))
         best_v, best_x = float(vals[i]), pts[i]
     else:
@@ -680,7 +668,7 @@ def _grid_oracle(p: HomPoly, step: float = 0.002) -> float:
                 ],
                 axis=1,
             )
-            vals = np.abs(form.values(pts))
+            vals = np.abs(np.einsum("ij,ij->i", pts, form.tx(pts)))
             i = int(np.argmax(vals))
             if vals[i] > best_v:
                 best_v, best_x = float(vals[i]), pts[i]

@@ -92,3 +92,38 @@ def bombieri_norm_loop(p):
         return math.ldexp(math.sqrt(total), e)
     except OverflowError:
         return math.inf
+
+
+# ------------------------------------------- the head/tail split term by term:
+# alpha_decompose, reassemble and restrict_zero over the dict, each part
+# listing its terms in p's term order
+
+def alpha_decompose_loop(p, k):
+    """{head: tail part} in sorted head order, a full-weight head mapping to
+    its constant coefficient."""
+    groups = {}
+    for alpha, c in p.terms.items():
+        groups.setdefault(alpha[:k], {})[alpha[k:]] = c
+    parts = {}
+    for head in sorted(groups):
+        w = p.d - sum(head)
+        tails = groups[head]
+        parts[head] = tails[(0,) * (p.n - k)] if w == 0 else HomPoly(p.n - k, w, tails)
+    return parts
+
+
+def reassemble_loop(dec):
+    terms = {}
+    for head, part in dec.parts.items():
+        if isinstance(part, HomPoly):
+            for tail, c in part.terms.items():
+                terms[head + tail] = c
+        else:
+            terms[head + (0,) * (dec.n - dec.k)] = part
+    return HomPoly(dec.n, dec.d, terms)
+
+
+def restrict_zero_loop(p, keep):
+    keep = set(keep)
+    return HomPoly(p.n, p.d, {alpha: c for alpha, c in p.terms.items()
+                              if all(a == 0 or i in keep for i, a in enumerate(alpha))})

@@ -37,7 +37,7 @@ from polyrank.sphere import Rank1Term
 from polyrank.serialize import dumps_canonical, report_from_dict, report_to_dict
 from polyrank.generators import bombieri_gaussian, planted_lowrank, sparse_gaussian
 
-from conftest import poly_of
+from conftest import alpha_decompose_loop, poly_of, reassemble_loop, restrict_zero_loop
 
 CFG = OptimizerConfig(restarts=8, max_iters=300, seed=23)
 
@@ -64,6 +64,44 @@ def test_alpha_decompose_roundtrip(rng):
         p = bombieri_gaussian(5, d, rng)
         for k in (1, 2, 4):
             assert reassemble(alpha_decompose(p, k)) == p
+
+
+def test_split_matches_the_dict_loops_on_a_form_beyond_the_table_limit():
+    # C(65, 6) = 8.2e7 monomials: no exponent table is built, and the split
+    # runs on the form's own index rows
+    n, d = 60, 6
+    rng = np.random.default_rng(60)
+    terms = {}
+    while len(terms) < 40:
+        alpha = np.bincount(rng.integers(0, n, d), minlength=n)
+        terms[tuple(alpha.tolist())] = float(rng.standard_normal())
+    p = HomPoly(n, d, terms)
+    with pytest.raises(ValueError, match="refusing"):
+        poly_mod._exponent_table(n, d)
+    for k in (1, 2, 7, 30, 59):
+        dec = alpha_decompose(p, k)
+        want = alpha_decompose_loop(p, k)
+        assert list(dec.parts) == list(want)
+        for head, part in dec.parts.items():
+            assert part == want[head]
+            if isinstance(part, HomPoly):
+                # terms in table order: descending exponent tuples
+                assert list(part.terms) == sorted(part.terms, reverse=True)
+        back = reassemble(dec)
+        assert back == p
+        assert list(back.terms.items()) == list(reassemble_loop(dec).terms.items())
+        for keep in (range(k), range(k, n), range(0, n, 3), ()):
+            got = restrict_zero(p, keep)
+            assert got == restrict_zero_loop(p, keep)
+            assert list(got.terms) == [a for a in p.terms if a in got.terms]
+
+
+def test_reassemble_refuses_a_part_that_does_not_fit():
+    dec = alpha_decompose(poly_of(3, 2, {(1, 1, 0): 1.0, (0, 1, 1): 2.0}), 1)
+    for parts in ({(1,): HomPoly(3, 1, {(1, 0, 0): 1.0})}, {(1,): HomPoly(2, 2, {(2, 0): 1.0})},
+                  {(1, 0): HomPoly(2, 1, {(1, 0): 1.0})}, {(1,): 3.0}):
+        with pytest.raises(ValueError):
+            reassemble(dataclasses.replace(dec, parts=parts))
 
 
 def test_alpha_decompose_range():
@@ -348,7 +386,8 @@ def test_vector_chain_terms_match_their_dict_definitions(rng, monkeypatch, lower
             elif k == n:
                 want = {}
             else:
-                want = dict(concentration._low_heads(alpha_decompose(held, k)))
+                want = {h: part for h, part in alpha_decompose_loop(held, k).items()
+                        if sum(h) < d}
             assert parts.keys() == want.keys()
             for h, part in parts.items():
                 assert list(part.terms.items()) == list(want[h].terms.items())
@@ -699,6 +738,26 @@ def test_rhs_upper_matches_the_gram_matrix_of_the_unfolded_tensor(n, d):
         for m in range(1, n + 1):
             want = math.factorial(d) * float(np.sum(lams[n - m:]))
             assert concentration._rhs_upper(n, d, m, coef) == pytest.approx(want, rel=1e-11)
+
+
+def test_derivative_index_is_built_without_an_n_fold_temporary():
+    # built one variable at a time: beside the two exponent tables, the peak
+    # stays below 3 times the returned arrays (the whole n x rows x d tuple
+    # array at once peaked at about 5.5 times them)
+    import tracemalloc
+
+    n, d = 18, 7
+    poly_mod._exponent_table(n, d), poly_mod._exponent_table(n, d - 1)
+    concentration._derivative_index.cache_clear()
+    tracemalloc.start()
+    try:
+        rows, weights = concentration._derivative_index(n, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        concentration._derivative_index.cache_clear()
+    assert rows.shape == weights.shape == (n, poly_mod.num_exponents(n, d - 1))
+    assert peak < 3 * (rows.nbytes + weights.nbytes)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])

@@ -350,8 +350,8 @@ def test_substitution_recursion_matches_dense(rng, monkeypatch):
 @pytest.mark.parametrize("n, d, nterms", [(16, 6, 10), (3, 15, 5)])
 def test_substitution_above_the_dense_limit(rng, n, d, nterms):
     # n ** d is above _DENSE_LIMIT, so both substitutions recurse on
-    # derivatives: once at (16, 6), twice at (3, 15), where even 3 ** 14 is
-    # above the limit while the output has only 136 monomials
+    # derivatives down to the dense leaf: degree 4 at (16, 6), degree 7 at
+    # (3, 15), whose output has only 136 monomials
     p = sparse_gaussian(n, d, nterms, rng)
     assert p.n ** p.d > poly_mod._DENSE_LIMIT
     Q, V = random_orthogonal(n, rng), random_frame(n, 2, rng)
@@ -364,6 +364,20 @@ def test_substitution_above_the_dense_limit(rng, n, d, nterms):
         y = rng.standard_normal(n)
         for q, M in ((rotated, Q), (projected, V.projection())):
             assert evaluate(q, y) == pytest.approx(evaluate(p, M @ y), rel=1e-10, abs=1e-12 * norm)
+
+
+def test_substitution_reads_the_dense_tensor_at_the_derived_leaf(rng, monkeypatch):
+    # the substitution recurses while n ** d is above 64 tensor entries per
+    # table row: the chain and CLI shapes (d <= 3, n <= 8) read the dense
+    # tensor at once, (16, 6) from degree 4, (3, 15) from 7 and (6, 10) from 5
+    leaves, tensor = [], poly_mod._symmetric_tensor
+    monkeypatch.setattr(poly_mod, "_symmetric_tensor",
+                        lambda n, d, c: leaves.append((n, d)) or tensor(n, d, c))
+    shapes = [(n, d, d) for n in range(2, 9) for d in (2, 3)]
+    for n, d, leaf in shapes + [(16, 6, 4), (3, 15, 7), (6, 10, 5)]:
+        leaves.clear()
+        apply_orthogonal(sparse_gaussian(n, d, 5, rng), random_orthogonal(n, rng))
+        assert set(leaves) == {(n, leaf)}, (n, d)
 
 
 def test_restrict_zero():

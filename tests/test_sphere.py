@@ -103,11 +103,30 @@ def test_form_kernels_match_dict_derivatives(monkeypatch, rng, kernel):
             X /= np.linalg.norm(X, axis=1, keepdims=True)
             # unit points: every entry sums terms of size at most d^2 |c|
             tol = 1e-13 * d * d * sum(abs(c) for c in p.terms.values())
-            G, vals = form.tx(X), form.values(X)
-            for x, g, v in zip(X, G, vals):
+            G, Hs = form.at(X)
+            assert np.array_equal(form.tx(X), G)
+            for x, g, h in zip(X, G, Hs):
                 assert np.max(np.abs(d * g - gradient_loop(p, x))) <= tol
-                assert np.max(np.abs(d * (d - 1) * form.txx(x) - hessian_loop(p, x))) <= tol
-                assert abs(v - evaluate_loop(p, x)) <= tol
+                assert np.max(np.abs(d * (d - 1) * h - hessian_loop(p, x))) <= tol
+                assert abs(x @ g - evaluate_loop(p, x)) <= tol
+
+
+@pytest.mark.parametrize("kernel", ["dense", "gather"])
+def test_form_at_on_a_batch_equals_its_rows_one_at_a_time(monkeypatch, rng, kernel):
+    # bit for bit: the gather kernel's bincount over row-offset keys sums each
+    # row's order-2 table as it does for that row alone.  The dense kernel
+    # multiplies a lone row by gemv, so there the rows go in pairs, as _ascend
+    # batches them
+    _with_kernel(monkeypatch, kernel)
+    for d in (1, 2, 3, 4):
+        for n in (1, 3, 5):
+            form = sphere._Form(sparse_gaussian(n, d, n + 1, rng))
+            X = rng.standard_normal((6, n))
+            step = 1 if kernel == "gather" else 2
+            G, Hs = form.at(X)
+            for lo in range(0, len(X), step):
+                g, h = form.at(X[lo:lo + step])
+                assert np.array_equal(g, G[lo:lo + step]) and np.array_equal(h, Hs[lo:lo + step])
 
 
 @pytest.mark.parametrize("kernel", ["dense", "gather"])
